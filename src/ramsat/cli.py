@@ -2,8 +2,9 @@
 
 Exit codes: 0 = verdict computed (property holds where one was asked),
 1 = property fails, 2 = usage or input error, 3 = budget exhausted or
-inconclusive. Outputs are deterministic: identical inputs and budgets
-produce byte-identical output (wall-clock time never appears).
+inconclusive, 4 = internal error (a crash, never a verdict). Outputs are
+deterministic: identical inputs and budgets produce byte-identical output
+(wall-clock time never appears).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_graph(path: str) -> Graph:
@@ -145,10 +147,6 @@ def _cmd_construct(args) -> int:
 # -- check --------------------------------------------------------------------
 
 
-def _certificate_payload(g, cert):
-    return cert.as_dict(g)
-
-
 def _inconclusive(args, reason: str = "budget exhausted") -> str:
     if getattr(args, "format", "text") == "json":
         return _json({"verdict": "inconclusive", "reason": reason})
@@ -159,37 +157,23 @@ def _cmd_check(args) -> int:
     g = _read_graph(args.input)
     budget = _budget(args)
     k = args.k
-    if args.predicate == "arrow":
+    if args.predicate in ("arrow", "bad-coloring"):
         res = search.find_bad_coloring(g, k, budget)
         if res.status == EXHAUSTED:
             _emit(_inconclusive(args), None)
             return EXIT_INCONCLUSIVE
-        arrows = res.status != FOUND
+        found = res.status == FOUND
+        verdict = found if args.predicate == "bad-coloring" else not found
         payload = {
-            "predicate": "arrow",
+            "predicate": args.predicate,
             "k": k,
-            "verdict": arrows,
+            "verdict": verdict,
             "nodes": res.stats.nodes,
         }
-        if not arrows:
-            payload["bad_coloring"] = _certificate_payload(g, res.certificate)
+        if found:
+            payload["bad_coloring"] = res.certificate.as_dict(g)
         _emit(_json(payload) if args.format == "json" else _text_verdict(payload), None)
-        return EXIT_OK if arrows else EXIT_FAIL
-    if args.predicate == "bad-coloring":
-        res = search.find_bad_coloring(g, k, budget)
-        if res.status == EXHAUSTED:
-            _emit(_inconclusive(args), None)
-            return EXIT_INCONCLUSIVE
-        payload = {
-            "predicate": "bad-coloring",
-            "k": k,
-            "verdict": res.status == FOUND,
-            "nodes": res.stats.nodes,
-        }
-        if res.status == FOUND:
-            payload["bad_coloring"] = _certificate_payload(g, res.certificate)
-        _emit(_json(payload) if args.format == "json" else _text_verdict(payload), None)
-        return EXIT_OK if res.status == FOUND else EXIT_FAIL
+        return EXIT_OK if verdict else EXIT_FAIL
     if args.predicate == "count":
         res = search.count_bad_colorings(g, k, cap=args.cap, budget=budget)
         if res.status != search.OK:
@@ -208,7 +192,7 @@ def _cmd_check(args) -> int:
             _emit(f"count = {res.count}\n", None)
         return EXIT_OK
     if args.predicate == "saturated":
-        rep = saturation.is_rmin_saturated(g, k, budget, jobs=args.jobs)
+        rep = saturation.is_rmin_saturated(g, k, budget)
         if args.format == "json":
             _emit(_json(rep.as_dict(g)), None)
         else:
@@ -333,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph6 file, or - for stdin")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", type=int, default=1 << 62, help="saturation cap for count")
-    p.add_argument("--jobs", type=int, default=1, help="parallel non-edge checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_budget_args(p)
     p.set_defaults(func=_cmd_check)
@@ -366,12 +349,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except Exception as exc:
+        # a crash must not exit 1, which reads as "property fails"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,11 +15,17 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import search
 from .colorings import enumerate_subtrees
 from .graphs import Graph, GraphError
 from .saturation import is_kt_saturated
-from .search import DEFAULT_BUDGET, EXHAUSTED, FOUND, InconclusiveError, SearchBudget
+from .search import (
+    DEFAULT_BUDGET,
+    EXHAUSTED,
+    FOUND,
+    BudgetPool,
+    InconclusiveError,
+    SearchBudget,
+)
 
 MAX_ENUM_N = 8
 MAX_SCAN_EDGES = 24
@@ -152,17 +158,18 @@ def family_ramsey_number(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
 
     Uses the full scan while it fits, the pruned engine beyond; the value is
     reached quickly because the large complete graphs collapse under the
-    forced-blue presolve.
+    forced-blue presolve. All engine searches share ``budget``.
     """
     if not 2 <= k <= MAX_RAMSEY_K:
         raise GraphError(f"family_ramsey_number supports 2 <= k <= {MAX_RAMSEY_K}")
+    pool = BudgetPool(budget)
     n = 1
     while True:
         g = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
         if g.m <= MAX_SCAN_EDGES:
             exists = brute_force_bad_coloring(g, k).exists
         else:
-            res = search.find_bad_coloring(g, k, budget)
+            res = pool.find_bad_coloring(g, k)
             if res.status == EXHAUSTED:
                 raise InconclusiveError(f"search on K_{n} exhausted its budget")
             exists = res.status == FOUND

@@ -10,17 +10,16 @@ carry edges.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import search
 from .colorings import BadColoringCertificate
-from .graphs import Graph, GraphError, bits, from_graph6
+from .graphs import Graph, GraphError, bits
 from .search import (
     DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
+    BudgetPool,
     InconclusiveError,
     SearchBudget,
 )
@@ -124,27 +123,20 @@ class SaturationReport:
         }
 
 
-def _check_non_edge(g6: str, pair: tuple[int, int], k: int, budget: SearchBudget):
-    g = from_graph6(g6)
-    res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
-    return pair, res.status, res.certificate, res.stats.nodes
-
-
 def is_rmin_saturated(
-    g: Graph,
-    k: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    jobs: int = 1,
+    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> SaturationReport:
     """Decide saturation; every verdict ships re-checkable evidence.
 
     A single surviving non-edge settles 'not saturated' even if other
     sub-searches ran out of budget; 'inconclusive' is reported only when
-    no counterexample was found and some sub-search was cut short.
+    no counterexample was found and some sub-search was cut short. All
+    sub-searches share ``budget``.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    base = search.find_bad_coloring(g, k, budget)
+    pool = BudgetPool(budget)
+    base = pool.find_bad_coloring(g, k)
     if base.status == EXHAUSTED:
         return SaturationReport(
             g.n, k, INCONCLUSIVE, None, (), (), "base search exhausted its budget"
@@ -153,28 +145,15 @@ def is_rmin_saturated(
         return SaturationReport(
             g.n, k, NOT_SATURATED, None, (), (), "graph admits no bad coloring"
         )
-    non_edges = list(g.non_edges())
-    results = []
-    if jobs > 1 and len(non_edges) > 1:
-        g6 = g.to_graph6()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_check_non_edge, g6, pair, k, budget)
-                for pair in non_edges
-            ]
-            results = [f.result() for f in futures]
-    else:
-        for pair in non_edges:
-            res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
-            results.append((pair, res.status, res.certificate, res.stats.nodes))
     failures = []
     outcomes = []
     exhausted = False
-    for pair, status, cert, nodes in results:
-        outcomes.append(NonEdgeOutcome(pair, status, nodes))
-        if status == FOUND:
-            failures.append((pair, cert))
-        elif status == EXHAUSTED:
+    for pair in g.non_edges():
+        res = pool.find_bad_coloring(g.with_edge(*pair), k)
+        outcomes.append(NonEdgeOutcome(pair, res.status, res.stats.nodes))
+        if res.status == FOUND:
+            failures.append((pair, res.certificate))
+        elif res.status == EXHAUSTED:
             exhausted = True
     if failures:
         status = NOT_SATURATED
@@ -201,17 +180,19 @@ def is_ramsey_minimal(
 ) -> bool:
     """True iff g admits no bad coloring but every g-e does.
 
-    Raises InconclusiveError when a sub-search exhausts its budget.
+    Raises InconclusiveError when a sub-search exhausts the budget that
+    all of them share.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    base = search.find_bad_coloring(g, k, budget)
+    pool = BudgetPool(budget)
+    base = pool.find_bad_coloring(g, k)
     if base.status == EXHAUSTED:
         raise InconclusiveError("base search exhausted its budget")
     if base.status == FOUND:
         return False
     for u, v in g.edges:
-        res = search.find_bad_coloring(g.without_edge(u, v), k, budget)
+        res = pool.find_bad_coloring(g.without_edge(u, v), k)
         if res.status == EXHAUSTED:
             raise InconclusiveError(f"search on g - ({u},{v}) exhausted its budget")
         if res.status != FOUND:

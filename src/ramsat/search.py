@@ -12,6 +12,8 @@ State is a partial edge assignment plus two incremental structures:
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
 Presolve assigns the forced-blue edges (>= 2k-3 triangles) up front.
+One iterative driver serves find, count and max-red, so search depth is
+bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ DEFAULT_BUDGET = SearchBudget()
 
 @dataclass
 class SearchStats:
+    """Work done by one search.
+
+    ``nodes``: branching edges colored by choice; this is what
+    ``SearchBudget.max_nodes`` caps. ``backtracks``: branch colors refuted
+    at once by propagation, whatever the search mode. ``propagations``:
+    edge colors forced by a triangle with two red edges or by a blue
+    component at the k-1 cap, presolve included. ``wall_time``: seconds
+    from start to verdict, presolve included.
+    """
+
     nodes: int = 0
     backtracks: int = 0
     propagations: int = 0
@@ -81,10 +93,6 @@ class CountResult:
 
 
 class _Budget(Exception):
-    pass
-
-
-class _CapReached(Exception):
     pass
 
 
@@ -118,6 +126,10 @@ class _Engine:
         self.order = sorted(range(self.m), key=lambda e: (-len(self.tris_of[e]), e))
         self.stats = SearchStats()
         self._start = 0.0
+        self.best: BadColoringCertificate | None = None
+        self.best_red = -1
+        self.count = 0
+        self.cap = 0
 
     # -- incremental state -------------------------------------------------
 
@@ -219,7 +231,7 @@ class _Engine:
                     tri_red[t] -= 1
             color[e] = UNASSIGNED
 
-    # -- search drivers ------------------------------------------------------
+    # -- search driver -------------------------------------------------------
 
     def _tick(self) -> None:
         self.stats.nodes += 1
@@ -260,103 +272,73 @@ class _Engine:
         )
         return BadColoringCertificate(TwoColoring(self.color), tuple(sizes))
 
-    def run_find(self) -> FindResult:
-        self._start = time.perf_counter()
-        status = NONE
-        certificate = None
-        try:
-            if self._presolve():
-                certificate = self._dfs_find(0)
-                if certificate is not None:
-                    status = FOUND
-        except _Budget:
-            status = EXHAUSTED
-        self.stats.wall_time = time.perf_counter() - self._start
-        return FindResult(status, certificate, self.stats)
+    # leaf actions: called on each complete bad coloring, True stops the search
 
-    def _dfs_find(self, start: int) -> BadColoringCertificate | None:
-        i = self._next_unassigned(start)
-        if i == self.m:
-            return self._certificate()
-        e = self.order[i]
-        self._tick()
-        for c in self._branch_colors(e):
-            mark = self._mark()
-            if self._assign(e, c):
-                found = self._dfs_find(i + 1)
-                if found is not None:
-                    return found
-            self.stats.backtracks += 1
-            self._undo_to(mark)
-        return None
+    def keep_first(self) -> bool:
+        self.best = self._certificate()
+        return True
 
-    def run_count(self, cap: int) -> CountResult:
-        self._start = time.perf_counter()
-        self._count = 0
-        self._cap = cap
-        status = OK
-        try:
-            if self._presolve():
-                self._dfs_count(0)
-        except _CapReached:
-            pass
-        except _Budget:
-            status = EXHAUSTED
-        self.stats.wall_time = time.perf_counter() - self._start
-        return CountResult(status, self._count, self.stats)
+    def tally(self) -> bool:
+        self.count += 1
+        return self.count >= self.cap
 
-    def _dfs_count(self, start: int) -> None:
-        i = self._next_unassigned(start)
-        if i == self.m:
-            self._count += 1
-            if self._count >= self._cap:
-                raise _CapReached()
-            return
-        e = self.order[i]
-        self._tick()
-        for c in self._branch_colors(e):
-            mark = self._mark()
-            if self._assign(e, c):
-                self._dfs_count(i + 1)
-            else:
+    def keep_reddest(self) -> bool:
+        if self.red_count > self.best_red:
+            self.best_red = self.red_count
+            self.best = self._certificate()
+        return False
+
+    def _dfs(self, leaf, bound: bool) -> None:
+        """Depth-first search over the static branch order.
+
+        Each frame holds a branching edge, its colors, how many of them
+        were tried and the trail mark to undo to. With ``bound``, a node
+        that cannot beat the best red count so far (every unassigned edge
+        red at best) is pruned.
+        """
+        stack: list[list] = []
+        start = 0
+        while True:
+            unassigned = self.m - len(self.color_trail)
+            if not (bound and self.red_count + unassigned <= self.best_red):
+                i = self._next_unassigned(start)
+                if i == self.m:
+                    if leaf():
+                        return
+                else:
+                    e = self.order[i]
+                    self._tick()
+                    stack.append([i, e, self._branch_colors(e), 0, self._mark()])
+            while stack:
+                frame = stack[-1]
+                i, e, colors, tried, mark = frame
+                if tried:
+                    self._undo_to(mark)
+                if tried == len(colors):
+                    stack.pop()
+                    continue
+                frame[3] = tried + 1
+                if self._assign(e, colors[tried]):
+                    start = i + 1
+                    break
                 self.stats.backtracks += 1
-            self._undo_to(mark)
-
-    def run_max_red(self) -> FindResult:
-        self._start = time.perf_counter()
-        self._best_red = -1
-        self._best: BadColoringCertificate | None = None
-        status = NONE
-        try:
-            if self._presolve():
-                self._dfs_max_red(0)
-            if self._best is not None:
-                status = FOUND
-        except _Budget:
-            # a best-so-far may ride along, but optimality is not claimed
-            status = EXHAUSTED
-        self.stats.wall_time = time.perf_counter() - self._start
-        return FindResult(status, self._best, self.stats)
-
-    def _dfs_max_red(self, start: int) -> None:
-        # bound: every unassigned edge red at best
-        if self.red_count + (self.m - len(self.color_trail)) <= self._best_red:
-            return
-        i = self._next_unassigned(start)
-        if i == self.m:
-            if self.red_count > self._best_red:
-                self._best_red = self.red_count
-                self._best = self._certificate()
-            return
-        e = self.order[i]
-        self._tick()
-        for c in self._branch_colors(e):
-            mark = self._mark()
-            if self._assign(e, c):
-                self._dfs_max_red(i + 1)
             else:
-                self.stats.backtracks += 1
-            self._undo_to(mark)
+                return
+
+    def run(self, leaf, bound: bool = False) -> str:
+        """Presolve, then search: EXHAUSTED when the budget ran out first,
+        else FOUND or NONE by whether a leaf kept a coloring."""
+        self._start = time.perf_counter()
+        try:
+            if self.budget.max_seconds <= 0:
+                raise _Budget()
+            if self._presolve():
+                self._dfs(leaf, bound)
+        except _Budget:
+            return EXHAUSTED
+        finally:
+            self.stats.wall_time = time.perf_counter() - self._start
+        return NONE if self.best is None else FOUND
 
 
 def _validate(g: Graph, k: int) -> None:
@@ -369,7 +351,9 @@ def find_bad_coloring(
 ) -> FindResult:
     """Find any bad coloring, or prove none exists (exhaustive search)."""
     _validate(g, k)
-    return _Engine(g, k, budget).run_find()
+    engine = _Engine(g, k, budget)
+    status = engine.run(engine.keep_first)
+    return FindResult(status, engine.best, engine.stats)
 
 
 def count_bad_colorings(
@@ -382,12 +366,39 @@ def count_bad_colorings(
     _validate(g, k)
     if cap < 1:
         raise GraphError(f"cap must be >= 1, got {cap}")
-    return _Engine(g, k, budget).run_count(cap)
+    engine = _Engine(g, k, budget)
+    engine.cap = cap
+    status = EXHAUSTED if engine.run(engine.tally) == EXHAUSTED else OK
+    return CountResult(status, engine.count, engine.stats)
 
 
 def find_max_red_bad_coloring(
     g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FindResult:
-    """Among all bad colorings, one with the maximum number of red edges."""
+    """Among all bad colorings, one with the maximum number of red edges.
+
+    When the budget runs out, the best coloring so far rides along, but
+    its optimality is not claimed.
+    """
     _validate(g, k)
-    return _Engine(g, k, budget).run_max_red()
+    engine = _Engine(g, k, budget)
+    status = engine.run(engine.keep_reddest, bound=True)
+    return FindResult(status, engine.best, engine.stats)
+
+
+class BudgetPool:
+    """One node pool and one deadline for all the searches of one call.
+
+    Each search gets what the searches before it left, so a budget bounds
+    a whole saturation, minimality or Ramsey check, not each sub-search.
+    """
+
+    def __init__(self, budget: SearchBudget):
+        self.nodes_left = budget.max_nodes
+        self.deadline = time.perf_counter() + budget.max_seconds
+
+    def find_bad_coloring(self, g: Graph, k: int) -> FindResult:
+        left = SearchBudget(self.nodes_left, self.deadline - time.perf_counter())
+        res = find_bad_coloring(g, k, left)
+        self.nodes_left -= res.stats.nodes
+        return res

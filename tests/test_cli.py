@@ -7,7 +7,7 @@ import pytest
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import ConstructionSpec, build
-from ramsat.graphs import complete, from_graph6, star
+from ramsat.graphs import complete, from_graph6, path, star
 
 
 @pytest.fixture
@@ -90,6 +90,12 @@ def test_check_arrow(capsys, tmp_path):
     code, out, _ = run(capsys, ["check", "arrow", str(k6), "--k", "4"])
     assert code == 1 and "arrow: False" in out
 
+    # 1199 branching levels
+    deep = tmp_path / "p1200.g6"
+    deep.write_text(path(1200).to_graph6() + "\n")
+    code, out, _ = run(capsys, ["check", "arrow", str(deep), "--k", "3"])
+    assert code == 1 and "arrow: False" in out and "bad coloring" in out
+
 
 def test_emitted_certificate_reverifies(capsys, tmp_path):
     k6 = tmp_path / "k6.g6"
@@ -117,13 +123,30 @@ def test_check_minimal(capsys, tmp_path):
     assert code == 1 and "minimal: False" in out
 
 
-def test_check_budget_exhaustion_exit(capsys, tmp_path):
+def test_check_budget_exhaustion_exit(capsys, tmp_path, geven18_file):
     p = tmp_path / "k8.g6"
     p.write_text(complete(8).to_graph6() + "\n")
     code, out, _ = run(
         capsys, ["check", "count", str(p), "--k", "5", "--max-nodes", "1"]
     )
     assert code == 3 and "inconclusive" in out
+
+    # each of the 109 searches needs at most 5 nodes, 355 together
+    for budget in (["--max-nodes", "10"], ["--max-seconds", "0"]):
+        code, out, _ = run(
+            capsys, ["check", "saturated", geven18_file, "--k", "4"] + budget
+        )
+        assert code == 3 and "inconclusive" in out
+
+
+def test_crash_is_not_a_verdict(capsys, monkeypatch, geven18_file):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ramsat.search.find_bad_coloring", crash)
+    code, out, err = run(capsys, ["check", "arrow", geven18_file, "--k", "4"])
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_check_stdin(capsys, monkeypatch):
@@ -174,24 +197,6 @@ def test_output_is_deterministic(capsys, geven18_file):
         )
         outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_jobs_do_not_change_output(capsys, tmp_path):
-    from ramsat.graphs import cycle
-
-    p = tmp_path / "c5.g6"
-    p.write_text(cycle(5).to_graph6() + "\n")
-    outs = []
-    codes = []
-    for jobs in ("1", "2"):
-        code, out, _ = run(
-            capsys,
-            ["check", "saturated", str(p), "--k", "3", "--jobs", jobs, "--format", "json"],
-        )
-        codes.append(code)
-        outs.append(out)
-    assert codes[0] == codes[1]
-    assert outs[0] == outs[1]
 
 
 def test_verify_paper_quick(capsys):

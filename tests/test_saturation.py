@@ -103,14 +103,6 @@ def test_witness_family_saturated_and_unique_at_other_sizes():
         assert is_rmin_saturated(g, k).verdict, spec.name
 
 
-def test_is_rmin_saturated_parallel_jobs_match():
-    g = build(ConstructionSpec.geven(18)).graph
-    serial = is_rmin_saturated(g, 4, jobs=1)
-    parallel = is_rmin_saturated(g, 4, jobs=4)
-    assert serial.status == parallel.status == SATURATED
-    assert serial.non_edge_outcomes == parallel.non_edge_outcomes
-
-
 def test_is_rmin_saturated_star_fails():
     g = star(10)
     rep = is_rmin_saturated(g, 4)
@@ -133,6 +125,10 @@ def test_is_rmin_saturated_complete_below_ramsey():
 def test_is_rmin_saturated_budget_inconclusive():
     g = build(ConstructionSpec.general(5, 20)).graph
     rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=1))
+    assert rep.status == INCONCLUSIVE
+    # no single sub-search needs 20 nodes, but all of them together do
+    assert max(o.nodes for o in is_rmin_saturated(g, 5).non_edge_outcomes) < 20
+    rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=20))
     assert rep.status == INCONCLUSIVE
 
 

@@ -5,7 +5,16 @@ import random
 import pytest
 
 from ramsat.colorings import TwoColoring, forced_blue_edges, is_bad_coloring
-from ramsat.graphs import Graph, GraphError, complete, cycle, disjoint_union, star
+from ramsat.graphs import (
+    Graph,
+    GraphError,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    path,
+    star,
+)
 from ramsat.oracle import brute_force_bad_coloring
 from ramsat.search import (
     EXHAUSTED,
@@ -72,6 +81,18 @@ def test_max_red_examples():
     assert res.certificate.coloring.red_count == 5  # all-red C5 is bad
 
     assert find_max_red_bad_coloring(complete(7), 4).status == NONE
+
+
+@pytest.mark.parametrize("g", [path(1200), complete_bipartite(40, 40)])
+def test_deep_searches_decide(g):
+    """Over a thousand branching levels: depth is not bounded by recursion."""
+    found = find_bad_coloring(g, 3)
+    assert found.found and found.certificate.verify(g, 3)
+    counted = count_bad_colorings(g, 3, cap=2)
+    assert counted.status == OK and counted.count == 2
+    best = find_max_red_bad_coloring(g, 3)
+    assert best.found and best.certificate.verify(g, 3)
+    assert best.certificate.coloring.red_count == g.m  # triangle-free: all red
 
 
 def test_max_red_dominates_plain_find():
