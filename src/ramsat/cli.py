@@ -271,7 +271,11 @@ def _cmd_verify_paper(args) -> int:
     budget = SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     results = verify.run_all(quick=args.quick, budget=budget)
     _emit(verify.format_table(results) + "\n", None)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
+    if all(r.passed for r in results):
+        return EXIT_OK
+    if any(not (r.passed or r.inconclusive) for r in results):
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE
 
 
 # -- parser ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,10 +189,3 @@ def scan_k3_saturated(n: int, delta: int) -> tuple[tuple[Graph, int], ...]:
             found.append((g.m, g.canonical_form(), g))
     found.sort(key=lambda item: (item[0], item[1]))
     return tuple((g, m) for m, _, g in found)
-
-
-def graphs_from_graph6(lines: Iterable[str]) -> tuple[Graph, ...]:
-    """Materialize a graph6 stream (external generator output)."""
-    from .graphs import read_graph6_lines
-
-    return tuple(read_graph6_lines(lines))

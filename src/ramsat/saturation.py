@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .colorings import BadColoringCertificate
+from .colorings import BadColoringCertificate, TwoColoring, make_certificate
 from .graphs import Graph, GraphError, bits
 from .search import (
     DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
+    NONE,
     BudgetPool,
     InconclusiveError,
     SearchBudget,
@@ -128,39 +129,62 @@ def is_rmin_saturated(
 ) -> SaturationReport:
     """Decide saturation; every verdict ships re-checkable evidence.
 
+    A bad coloring of g+uv restricted to g is a bad coloring of g, so one
+    enumeration of g's bad colorings decides every non-edge: uv fails as
+    soon as some coloring extends across it, and is blocked when the
+    enumeration ends without one. A non-edge still open when the
+    enumeration stops at ``search.EXTEND_CAP`` colorings gets a search of
+    g+uv of its own. A non-edge's ``nodes`` counts that own search only, so
+    it is 0 for one the enumeration settled.
+
     A single surviving non-edge settles 'not saturated' even if other
-    sub-searches ran out of budget; 'inconclusive' is reported only when
-    no counterexample was found and some sub-search was cut short. All
-    sub-searches share ``budget``.
+    searches ran out of budget; 'inconclusive' is reported only when no
+    counterexample was found and some search was cut short. All searches
+    share ``budget``.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     pool = BudgetPool(budget)
-    base = pool.find_bad_coloring(g, k)
-    if base.status == EXHAUSTED:
-        return SaturationReport(
-            g.n, k, INCONCLUSIVE, None, (), (), "base search exhausted its budget"
+    ext = pool.extend_bad_colorings(g, k)
+    exhausted = ""
+    if ext.status == EXHAUSTED:
+        exhausted = (
+            "enumeration of G's bad colorings exhausted its budget"
+            f" after {ext.stats.nodes} nodes"
         )
-    if base.status != FOUND:
+    if ext.certificate is None:
+        if exhausted:
+            return SaturationReport(g.n, k, INCONCLUSIVE, None, (), (), exhausted)
         return SaturationReport(
             g.n, k, NOT_SATURATED, None, (), (), "graph admits no bad coloring"
         )
     failures = []
     outcomes = []
-    exhausted = False
     for pair in g.non_edges():
-        res = pool.find_bad_coloring(g.with_edge(*pair), k)
-        outcomes.append(NonEdgeOutcome(pair, res.status, res.stats.nodes))
-        if res.status == FOUND:
-            failures.append((pair, res.certificate))
-        elif res.status == EXHAUSTED:
-            exhausted = True
+        if pair in ext.extensions:
+            colors, c = ext.extensions[pair]
+            h = g.with_edge(*pair)
+            i = h.edge_index(*pair)
+            coloring = TwoColoring(colors[:i] + (c,) + colors[i:])
+            failures.append((pair, make_certificate(h, k, coloring)))
+            outcomes.append(NonEdgeOutcome(pair, FOUND, 0))
+        elif ext.complete:
+            outcomes.append(NonEdgeOutcome(pair, NONE, 0))
+        elif ext.status == EXHAUSTED:
+            outcomes.append(NonEdgeOutcome(pair, EXHAUSTED, 0))
+        else:
+            res = pool.find_bad_coloring(g.with_edge(*pair), k)
+            outcomes.append(NonEdgeOutcome(pair, res.status, res.stats.nodes))
+            if res.status == FOUND:
+                failures.append((pair, res.certificate))
+            elif res.status == EXHAUSTED and not exhausted:
+                exhausted = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
     if failures:
         status = NOT_SATURATED
         reason = f"{len(failures)} non-edge(s) still admit a bad coloring"
     elif exhausted:
         status = INCONCLUSIVE
-        reason = "some non-edge searches exhausted their budget"
+        reason = exhausted
     else:
         status = SATURATED
         reason = "every non-edge addition destroys all bad colorings"
@@ -168,7 +192,7 @@ def is_rmin_saturated(
         g.n,
         k,
         status,
-        base.certificate,
+        ext.certificate,
         tuple(failures),
         tuple(outcomes),
         reason,

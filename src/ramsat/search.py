@@ -12,8 +12,9 @@ State is a partial edge assignment plus two incremental structures:
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
 Presolve assigns the forced-blue edges (>= 2k-3 triangles) up front.
-One iterative driver serves find, count and max-red, so search depth is
-bounded by memory, not by the interpreter's recursion limit.
+One iterative driver serves find, count, max-red and the extension
+enumeration behind saturation, so search depth is bounded by memory, not
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ EXHAUSTED = "budget-exhausted"
 OK = "ok"
 
 _BUDGET_CHECK_MASK = 0x3FF  # wall-clock checked every 1024 nodes
+
+# bad colorings an extension enumeration visits before it stops; the
+# non-edges it leaves open fall back to a search of their own
+EXTEND_CAP = 256
 
 
 class InconclusiveError(RuntimeError):
@@ -92,6 +97,26 @@ class CountResult:
     stats: SearchStats
 
 
+@dataclass
+class ExtendResult:
+    """Bad colorings of G tried as extensions across its non-edges.
+
+    ``certificate`` is the first coloring, the one find returns.
+    ``extensions`` maps each non-edge some coloring extends across to that
+    coloring (colors in G's edge order) and the color the non-edge takes.
+    ``complete`` means every bad coloring of G was tried, so G+uv has no
+    bad coloring for a non-edge ``uv`` missing from ``extensions``; it is
+    False when the budget ran out or the enumeration stopped at
+    ``EXTEND_CAP`` colorings.
+    """
+
+    status: str  # found | none | budget-exhausted
+    certificate: BadColoringCertificate | None
+    extensions: dict[tuple[int, int], tuple[tuple[int, ...], int]]
+    complete: bool
+    stats: SearchStats
+
+
 class _Budget(Exception):
     pass
 
@@ -130,6 +155,9 @@ class _Engine:
         self.best_red = -1
         self.count = 0
         self.cap = 0
+        self.open: list[tuple[int, int]] = []
+        self.extensions: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        self.capped = False
 
     # -- incremental state -------------------------------------------------
 
@@ -288,6 +316,42 @@ class _Engine:
             self.best = self._certificate()
         return False
 
+    def extend(self) -> bool:
+        """Close every open non-edge this coloring extends across: uv can
+        be red when u and v have no red common neighbour, and blue when
+        they share a blue component or their two components together have
+        at most k-1 vertices."""
+        if self.best is None:
+            self.best = self._certificate()
+        self.count += 1
+        color = self.color
+        radj = [0] * self.g.n
+        for e in range(self.m):
+            if color[e] == RED:
+                u = self.eu[e]
+                v = self.ev[e]
+                radj[u] |= 1 << v
+                radj[v] |= 1 << u
+        size = self.size
+        still = []
+        snapshot = None
+        for u, v in self.open:
+            if not radj[u] & radj[v]:
+                c = RED
+            else:
+                ru = self._find(u)
+                rv = self._find(v)
+                if ru != rv and size[ru] + size[rv] >= self.k:
+                    still.append((u, v))
+                    continue
+                c = BLUE
+            if snapshot is None:
+                snapshot = tuple(color)
+            self.extensions[(u, v)] = (snapshot, c)
+        self.open = still
+        self.capped = bool(still) and self.count >= EXTEND_CAP
+        return not still or self.capped
+
     def _dfs(self, leaf, bound: bool) -> None:
         """Depth-first search over the static branch order.
 
@@ -386,6 +450,27 @@ def find_max_red_bad_coloring(
     return FindResult(status, engine.best, engine.stats)
 
 
+def extend_bad_colorings(
+    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+) -> ExtendResult:
+    """Enumerate bad colorings of g and try each across every non-edge.
+
+    Stops once every non-edge has an extension, or after ``EXTEND_CAP``
+    colorings.
+    """
+    _validate(g, k)
+    engine = _Engine(g, k, budget)
+    engine.open = list(g.non_edges())
+    status = engine.run(engine.extend)
+    return ExtendResult(
+        status,
+        engine.best,
+        engine.extensions,
+        status != EXHAUSTED and not engine.capped,
+        engine.stats,
+    )
+
+
 class BudgetPool:
     """One node pool and one deadline for all the searches of one call.
 
@@ -397,8 +482,15 @@ class BudgetPool:
         self.nodes_left = budget.max_nodes
         self.deadline = time.perf_counter() + budget.max_seconds
 
+    def _left(self) -> SearchBudget:
+        return SearchBudget(self.nodes_left, self.deadline - time.perf_counter())
+
     def find_bad_coloring(self, g: Graph, k: int) -> FindResult:
-        left = SearchBudget(self.nodes_left, self.deadline - time.perf_counter())
-        res = find_bad_coloring(g, k, left)
+        res = find_bad_coloring(g, k, self._left())
+        self.nodes_left -= res.stats.nodes
+        return res
+
+    def extend_bad_colorings(self, g: Graph, k: int) -> ExtendResult:
+        res = extend_bad_colorings(g, k, self._left())
         self.nodes_left -= res.stats.nodes
         return res

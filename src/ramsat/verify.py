@@ -2,8 +2,9 @@
 
 Each criterion is an independent function returning a CriterionResult; the
 CLI's verify-paper command and the acceptance test suite both run them.
-All expected values are exact; a budget-bound search outcome fails the
-criterion that needed it (never silently passes).
+All expected values are exact. A criterion whose search ran out of budget
+is reported inconclusive, never passed, and failed only when some other
+check definitely failed.
 """
 
 from __future__ import annotations
@@ -43,10 +44,22 @@ class CriterionResult:
     title: str
     passed: bool
     details: str
+    inconclusive: bool = False  # not passed only because a search ran out of budget
 
 
-def _result(number: int, title: str, passed: bool, details: str) -> CriterionResult:
-    return CriterionResult(number, title, passed, details)
+def _result(
+    number: int, title: str, passed: bool, details: str, inconclusive: bool = False
+) -> CriterionResult:
+    return CriterionResult(number, title, passed, details, inconclusive)
+
+
+def _checked(
+    number: int, title: str, failed: bool, exhausted: bool, details: str
+) -> CriterionResult:
+    """Pass when no check failed and no search ran out of budget."""
+    return _result(
+        number, title, not (failed or exhausted), details, exhausted and not failed
+    )
 
 
 def criterion_1() -> CriterionResult:
@@ -70,27 +83,29 @@ def criterion_1() -> CriterionResult:
 def criterion_2(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
     title = "geven(18) and godd(19) are saturated with 45 and 47 edges"
     details = []
-    passed = True
+    failed = exhausted = False
     for spec, want_m in ((ConstructionSpec.geven(18), 45), (ConstructionSpec.godd(19), 47)):
         g = build(spec).graph
         rep = saturation.is_rmin_saturated(g, 4, budget)
-        ok = g.m == want_m and rep.status == saturation.SATURATED
-        passed = passed and ok
+        failed = failed or g.m != want_m or rep.status == saturation.NOT_SATURATED
+        exhausted = exhausted or rep.status == saturation.INCONCLUSIVE
         details.append(f"{spec.name}: m={g.m} (want {want_m}), {rep.status}")
-    return _result(2, title, passed, "; ".join(details))
+    return _checked(2, title, failed, exhausted, "; ".join(details))
 
 
 def criterion_3(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
     title = "geven(18) and godd(19) admit exactly one bad 2-coloring"
     details = []
-    passed = True
+    failed = exhausted = False
     for spec in (ConstructionSpec.geven(18), ConstructionSpec.godd(19)):
         g = build(spec).graph
         res = search.count_bad_colorings(g, 4, cap=2, budget=budget)
-        ok = res.status == OK and res.count == 1
-        passed = passed and ok
+        if res.status == OK:
+            failed = failed or res.count != 1
+        else:
+            exhausted = True
         details.append(f"{spec.name}: count={res.count} ({res.status})")
-    return _result(3, title, passed, "; ".join(details))
+    return _checked(3, title, failed, exhausted, "; ".join(details))
 
 
 def criterion_4(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
@@ -101,18 +116,18 @@ def criterion_4(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
     bounds = theorem_bounds(5, 20)
     rep = saturation.is_rmin_saturated(g, 5, budget)
     cnt = search.count_bad_colorings(g, 5, cap=2, budget=budget)
-    ok = (
-        g.m == want_m
-        and bounds.lower <= g.m <= bounds.upper
-        and rep.status == saturation.SATURATED
-        and cnt.status == OK
-        and cnt.count == 1
+    failed = (
+        g.m != want_m
+        or not bounds.lower <= g.m <= bounds.upper
+        or rep.status == saturation.NOT_SATURATED
+        or (cnt.status == OK and cnt.count != 1)
     )
+    exhausted = rep.status == saturation.INCONCLUSIVE or cnt.status != OK
     details = (
         f"m={g.m} (want {want_m}), bounds [{bounds.lower}, {bounds.upper}],"
         f" {rep.status}, count={cnt.count}"
     )
-    return _result(4, title, ok, details)
+    return _checked(4, title, failed, exhausted, details)
 
 
 def criterion_5(quick: bool = False) -> CriterionResult:
@@ -154,7 +169,11 @@ def criterion_6(
                 c = search.count_bad_colorings(g, k, budget=budget)
                 if f.status == search.EXHAUSTED or c.status != OK:
                     return _result(
-                        6, title, False, f"budget exhausted on n={n}, k={k}"
+                        6,
+                        title,
+                        False,
+                        f"budget exhausted on n={n}, k={k}",
+                        inconclusive=True,
                     )
                 if (f.status == search.FOUND) != want.exists or c.count != want.count:
                     return _result(
@@ -260,11 +279,21 @@ def criterion_10(
         (ConstructionSpec.general(5, 20), 5),
     )
     # (a) every high-triangle edge is blue in every bad coloring
+    unique = {}
     for spec, k in witnesses:
         g = build(spec).graph
         res = search.find_bad_coloring(g, k, budget)
+        if res.status == search.EXHAUSTED:
+            return _result(
+                10,
+                title,
+                False,
+                f"{spec.name}: search exhausted its budget",
+                inconclusive=True,
+            )
         if not res.found:
             return _result(10, title, False, f"{spec.name}: no bad coloring found")
+        unique[spec] = res.certificate
         forced = forced_blue_edges(g, k)
         if not forced.applicable:
             return _result(10, title, False, f"{spec.name}: threshold not applicable")
@@ -296,9 +325,8 @@ def criterion_10(
     # (b) + (c) structure of the unique and the max-red colorings
     for spec, k in witnesses:
         g = build(spec).graph
-        unique = search.find_bad_coloring(g, k, budget)
         rep = saturation.check_certificate_structure(
-            g, k, unique.certificate, saturated=True
+            g, k, unique[spec], saturated=True
         )
         if rep.small_count_ok is not True or rep.red_complete_ok is False:
             return _result(
@@ -306,7 +334,13 @@ def criterion_10(
             )
         mr = search.find_max_red_bad_coloring(g, k, budget)
         if not mr.found:
-            return _result(10, title, False, f"{spec.name}: max-red search {mr.status}")
+            return _result(
+                10,
+                title,
+                False,
+                f"{spec.name}: max-red search {mr.status}",
+                inconclusive=mr.status == search.EXHAUSTED,
+            )
         rep = saturation.check_certificate_structure(
             g, k, mr.certificate, saturated=True, max_red=True
         )
@@ -341,9 +375,13 @@ def run_all(
 def format_table(results: list[CriterionResult]) -> str:
     lines = []
     for r in results:
-        mark = "PASS" if r.passed else "FAIL"
+        mark = "PASS" if r.passed else "INCONCLUSIVE" if r.inconclusive else "FAIL"
         lines.append(f"[{r.number:2d}] {mark}  {r.title}")
         lines.append(f"          {r.details}")
     passed = sum(r.passed for r in results)
-    lines.append(f"{passed}/{len(results)} criteria passed")
+    summary = f"{passed}/{len(results)} criteria passed"
+    inconclusive = sum(r.inconclusive for r in results)
+    if inconclusive:
+        summary += f", {inconclusive} inconclusive"
+    lines.append(summary)
     return "\n".join(lines)

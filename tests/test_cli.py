@@ -123,7 +123,7 @@ def test_check_minimal(capsys, tmp_path):
     assert code == 1 and "minimal: False" in out
 
 
-def test_check_budget_exhaustion_exit(capsys, tmp_path, geven18_file):
+def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_file):
     p = tmp_path / "k8.g6"
     p.write_text(complete(8).to_graph6() + "\n")
     code, out, _ = run(
@@ -131,12 +131,24 @@ def test_check_budget_exhaustion_exit(capsys, tmp_path, geven18_file):
     )
     assert code == 3 and "inconclusive" in out
 
-    # each of the 109 searches needs at most 5 nodes, 355 together
-    for budget in (["--max-nodes", "10"], ["--max-seconds", "0"]):
+    # the enumeration of geven(18)'s bad colorings needs 4 nodes
+    code, out, _ = run(
+        capsys, ["check", "saturated", geven18_file, "--k", "4", "--max-nodes", "4"]
+    )
+    assert code == 0
+    for budget in (["--max-nodes", "3"], ["--max-seconds", "0"]):
         code, out, _ = run(
             capsys, ["check", "saturated", geven18_file, "--k", "4"] + budget
         )
         assert code == 3 and "inconclusive" in out
+
+    # per-non-edge fallback: each of the 109 searches needs at most 5 nodes,
+    # 355 together
+    monkeypatch.setattr("ramsat.search.EXTEND_CAP", 1)
+    code, out, _ = run(
+        capsys, ["check", "saturated", geven18_file, "--k", "4", "--max-nodes", "10"]
+    )
+    assert code == 3 and "inconclusive" in out
 
 
 def test_crash_is_not_a_verdict(capsys, monkeypatch, geven18_file):
@@ -204,3 +216,11 @@ def test_verify_paper_quick(capsys):
     assert code == 0
     assert "10/10 criteria passed" in out
     assert out.count("PASS") == 10
+
+
+def test_verify_paper_budget_exhaustion_is_inconclusive(capsys):
+    code, out, _ = run(capsys, ["verify-paper", "--quick", "--max-nodes", "1"])
+    assert code == 3
+    assert "FAIL" not in out and "no bad coloring found" not in out
+    assert out.count("INCONCLUSIVE") == 5
+    assert out.splitlines()[-1] == "5/10 criteria passed, 5 inconclusive"

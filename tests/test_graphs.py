@@ -21,6 +21,7 @@ from ramsat.graphs import (
     from_graph6,
     path,
     petersen,
+    read_graph6_lines,
     star,
 )
 
@@ -253,6 +254,12 @@ def test_graph6_round_trip_catalog():
     for spec in specs:
         g = build(spec).graph
         assert from_graph6(g.to_graph6()) == g
+
+
+def test_read_graph6_lines_round_trip():
+    originals = [cycle(5), star(7), complete(4)]
+    lines = [g.to_graph6() for g in originals] + [""]
+    assert list(read_graph6_lines(lines)) == originals
 
 
 def test_graph6_matches_networkx():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from ramsat.colorings import TwoColoring, is_bad_coloring
-from ramsat.graphs import Graph, GraphError, complete, cycle, star
+from ramsat.graphs import Graph, GraphError, complete, cycle, from_graph6, star
 from ramsat.oracle import (
     BruteForceResult,
     brute_force_bad_coloring,
@@ -13,7 +13,6 @@ from ramsat.oracle import (
     compute_sat,
     enumerate_graphs,
     family_ramsey_number,
-    graphs_from_graph6,
     scan_k3_saturated,
 )
 from ramsat.saturation import is_rmin_saturated
@@ -78,7 +77,7 @@ def test_compute_sat_extremal_graphs_reverify():
     for n, k in [(5, 3), (5, 4), (6, 4)]:
         res = compute_sat(n, k)
         for g6 in res.extremal_graph6:
-            (g,) = graphs_from_graph6([g6])
+            g = from_graph6(g6)
             rep = is_rmin_saturated(g, k)
             assert rep.verdict and g.m == res.min_edges
 
@@ -92,7 +91,7 @@ def test_compute_sat_at_the_cap():
     assert r4.min_edges == 14
     assert r4.extremal_graph6 == ("FU~bg",)
     for g6 in r4.extremal_graph6:
-        (g,) = graphs_from_graph6([g6])
+        g = from_graph6(g6)
         assert is_rmin_saturated(g, 4).verdict
 
 
@@ -126,10 +125,3 @@ def test_scan_k3_saturated():
     only = scan_k3_saturated(6, 1)
     assert len(only) == 1
     assert only[0][0].canonical_form() == star(6).canonical_form()
-
-
-def test_graphs_from_graph6_round_trip():
-    originals = [cycle(5), star(7), complete(4)]
-    lines = [g.to_graph6() for g in originals]
-    back = graphs_from_graph6(lines)
-    assert list(back) == originals

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from ramsat import search
 from ramsat.colorings import BadColoringCertificate, TwoColoring
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
@@ -13,6 +14,8 @@ from ramsat.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
+    from_graph6,
     path,
     petersen,
     star,
@@ -30,7 +33,15 @@ from ramsat.saturation import (
     is_rmin_saturated,
     k3_saturated_edge_bound,
 )
-from ramsat.search import InconclusiveError, SearchBudget, find_bad_coloring, find_max_red_bad_coloring
+from ramsat.search import (
+    FOUND,
+    InconclusiveError,
+    SearchBudget,
+    count_bad_colorings,
+    extend_bad_colorings,
+    find_bad_coloring,
+    find_max_red_bad_coloring,
+)
 
 
 def naive_kt_saturated(g, t):
@@ -122,14 +133,83 @@ def test_is_rmin_saturated_complete_below_ramsey():
     assert "no bad coloring" in rep.reason
 
 
-def test_is_rmin_saturated_budget_inconclusive():
+def test_is_rmin_saturated_budget_inconclusive(monkeypatch):
     g = build(ConstructionSpec.general(5, 20)).graph
     rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=1))
     assert rep.status == INCONCLUSIVE
-    # no single sub-search needs 20 nodes, but all of them together do
+    # the enumeration of G's bad colorings decides general(5,20) in 8 nodes
+    assert is_rmin_saturated(g, 5, SearchBudget(max_nodes=8)).status == SATURATED
+    rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=7))
+    assert rep.status == INCONCLUSIVE
+    assert rep.reason == (
+        "enumeration of G's bad colorings exhausted its budget after 8 nodes"
+    )
+    # per-non-edge fallback: no single search needs 20 nodes, all together do
+    monkeypatch.setattr(search, "EXTEND_CAP", 1)
     assert max(o.nodes for o in is_rmin_saturated(g, 5).non_edge_outcomes) < 20
     rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=20))
     assert rep.status == INCONCLUSIVE
+    assert rep.reason.startswith("search on G+(")
+    assert rep.reason.endswith(") exhausted its budget")
+
+
+def per_non_edge_saturation(g, k):
+    """Saturation by definition: one search of G, then one of each G+uv.
+    Returns the status, the failing pairs, each non-edge's search status
+    and G's certificate."""
+    base = find_bad_coloring(g, k)
+    if not base.found:
+        return NOT_SATURATED, [], [], None
+    outcomes = [
+        (pair, find_bad_coloring(g.with_edge(*pair), k).status)
+        for pair in g.non_edges()
+    ]
+    failures = [pair for pair, status in outcomes if status == FOUND]
+    return (
+        NOT_SATURATED if failures else SATURATED,
+        failures,
+        outcomes,
+        base.certificate,
+    )
+
+
+def assert_matches_per_non_edge(g, k):
+    rep = is_rmin_saturated(g, k)
+    got = (
+        rep.status,
+        [pair for pair, _ in rep.failures],
+        [(o.pair, o.status) for o in rep.non_edge_outcomes],
+        rep.base_certificate,
+    )
+    assert got == per_non_edge_saturation(g, k), (g.to_graph6(), k)
+    for pair, cert in rep.failures:
+        assert cert.verify(g.with_edge(*pair), k), (g.to_graph6(), k, pair)
+    return rep
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_is_rmin_saturated_matches_per_non_edge_search(monkeypatch, cap):
+    """The extension enumeration and, with the cap at 1, the per-non-edge
+    fallback both give what one search per non-edge gives."""
+    if cap is not None:
+        monkeypatch.setattr(search, "EXTEND_CAP", cap)
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for k in (3, 4, 5):
+                assert_matches_per_non_edge(g, k)
+
+
+def test_is_rmin_saturated_falls_back_past_the_cap():
+    # a Ramsey-minimal 5-vertex graph for k = 3 minus its edge (0, 2), beside
+    # a path: 288 bad colorings, and no coloring extends across (0, 2)
+    g = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
+    assert count_bad_colorings(g, 3).count > search.EXTEND_CAP
+    ext = extend_bad_colorings(g, 3)
+    assert not ext.complete and (0, 2) not in ext.extensions
+    rep = assert_matches_per_non_edge(g, 3)
+    (blocked,) = [o for o in rep.non_edge_outcomes if o.status != FOUND]
+    assert blocked.pair == (0, 2) and blocked.nodes > 0
+    assert all(o.nodes == 0 for o in rep.non_edge_outcomes if o is not blocked)
 
 
 def test_is_rmin_saturated_matches_oracle_definition():
