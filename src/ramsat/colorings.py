@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .graphs import EdgeRef, Graph, GraphError
+from .graphs import EdgeRef, Graph, GraphError, bits
 
 RED = 0
 BLUE = 1
@@ -220,9 +220,12 @@ def enumerate_subtrees(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
         raise GraphError(f"k must be >= 2, got {k}")
     out = []
     for subset in combinations(range(g.n), k):
-        vset = set(subset)
+        inside = sum(1 << v for v in subset)
+        # edges (u, v), u < v, within the subset in index order
         local = [
-            i for i, (u, v) in enumerate(g.edges) if u in vset and v in vset
+            g.edge_index(u, v)
+            for u in subset
+            for v in bits(g.adj[u] & inside & ~((2 << u) - 1))
         ]
         if len(local) < k - 1:
             continue

@@ -362,20 +362,16 @@ class Graph:
 
     def to_graph6(self) -> str:
         """Headerless graph6 line (no trailing newline)."""
-        chunks = [_graph6_encode_n(self.n)]
-        acc = 0
-        nbits = 0
-        for v in range(1, self.n):
-            col = self.adj[v]
-            for u in range(v):
-                acc = (acc << 1) | (col >> u & 1)
-                nbits += 1
-        pad = (-nbits) % 6
-        acc <<= pad
-        nbits += pad
-        for shift in range(nbits - 6, -1, -6):
-            chunks.append(chr((acc >> shift & 0x3F) + 63))
-        return "".join(chunks)
+        # column v lists u = 0..v-1, first bit first: the reversed binary
+        # digits of adj[v] below bit v
+        bitstr = "".join(
+            format(self.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+            for v in range(1, self.n)
+        )
+        bitstr += "0" * (-len(bitstr) % 6)
+        return _graph6_encode_n(self.n) + "".join(
+            chr(int(bitstr[i : i + 6], 2) + 63) for i in range(0, len(bitstr), 6)
+        )
 
     def to_dot(self, coloring=None, labels: dict[int, str] | None = None) -> str:
         """DOT text; blue edges are drawn dashed when a coloring is given."""
@@ -486,19 +482,20 @@ def from_graph6(line: str) -> Graph:
             f"expected {need} adjacency bytes for n={n}, got {len(data) - pos}",
             min(len(text), pos + need),
         )
-    acc = 0
-    for value in data[pos:]:
-        acc = (acc << 6) | value
-    total = need * 6
+    bitstr = "".join(format(value, "06b") for value in data[pos:])
     edges = []
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            if acc >> (total - 1 - bit) & 1:
-                edges.append((u, v))
-            bit += 1
+    # bit b is pair (u, v) with b = v(v-1)/2 + u; column v starts at base
+    v = 1
+    base = 0
+    b = bitstr.find("1", 0, nbits)
+    while b >= 0:
+        while b >= base + v:
+            base += v
+            v += 1
+        edges.append((b - base, v))
+        b = bitstr.find("1", b + 1, nbits)
     # trailing padding must be zero
-    if total > nbits and acc & ((1 << (total - nbits)) - 1):
+    if "1" in bitstr[nbits:]:
         raise Graph6Error("nonzero padding bits", len(text) - 1)
     return Graph(n, edges)
 

@@ -1,7 +1,10 @@
 """Independent ground truth: exhaustive enumeration and full coloring scans.
 
-Everything here is deliberately brute force. The coloring scan walks all
-2^m colorings with vectorized mask tests; it never consults the search
+Everything here is deliberately brute force. The coloring scan tests all
+2^m colorings, bitsliced: coloring ``x`` (bit i set means edge i is red)
+is bit ``x % 64`` of uint64 word ``x // 64``, so each edge's red variable
+is one word per 64 colorings and every triangle or k-vertex subtree clause
+is a handful of word-wide ANDs and ORs. It never consults the search
 engine, so engine results can be checked against it. Graph enumeration is
 orderly generation with canonical-form rejection, capped at 8 vertices;
 larger orders come in through external graph6 streams.
@@ -10,6 +13,7 @@ larger orders come in through external graph6 streams.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,18 +69,28 @@ class BruteForceResult(NamedTuple):
     count: int
 
 
-def _violation_mask(g: Graph, k: int) -> np.ndarray:
-    """Boolean array over all 2^m colorings; True where the coloring is not
-    bad. Bit i of a mask set means edge i is red."""
+# red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1
+_LOW_EDGE_WORDS = tuple(
+    np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6)
+)
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _violation_words(g: Graph, k: int) -> np.ndarray:
+    """Bitsliced violation flags over all 2^m colorings: bit b of word w is
+    set iff coloring 64w + b is not bad (or, when m < 6, lies past 2^m)."""
     m = g.m
-    masks = np.arange(1 << m, dtype=np.uint32)
-    viol = np.zeros(1 << m, dtype=bool)
+    words = np.arange(1 << max(0, m - 6), dtype=np.uint64)
+    red = list(_LOW_EDGE_WORDS[: min(m, 6)])
+    for i in range(6, m):
+        red.append((words >> np.uint64(i - 6) & np.uint64(1)) * _ALL_ONES)
+    viol = np.zeros(len(words), dtype=np.uint64)
+    if m < 6:
+        viol |= _ALL_ONES << np.uint64(1 << m)
     for a, b, c in g.triangle_edge_triples():
-        t = np.uint32((1 << a) | (1 << b) | (1 << c))
-        viol |= (masks & t) == t
+        viol |= red[a] & red[b] & red[c]
     for pick in enumerate_subtrees(g, k):
-        t = np.uint32(sum(1 << i for i in pick))
-        viol |= (masks & t) == 0
+        viol |= ~functools.reduce(operator.or_, (red[i] for i in pick))
     return viol
 
 
@@ -91,8 +105,9 @@ def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
     if g.m == 0:
         # the empty coloring is bad: no red triangle, all blue components trivial
         return np.zeros(1, dtype=np.uint32)
-    viol = _violation_mask(g, k)
-    return np.flatnonzero(~viol).astype(np.uint32)
+    good = ~_violation_words(g, k)
+    bits = np.unpackbits(good.astype("<u8").view(np.uint8), bitorder="little")
+    return np.flatnonzero(bits).astype(np.uint32)
 
 
 def brute_force_bad_coloring(g: Graph, k: int) -> BruteForceResult:

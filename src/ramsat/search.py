@@ -262,9 +262,9 @@ class _Engine:
     # -- search driver -------------------------------------------------------
 
     def _tick(self) -> None:
-        self.stats.nodes += 1
-        if self.stats.nodes > self.budget.max_nodes:
+        if self.stats.nodes >= self.budget.max_nodes:
             raise _Budget()
+        self.stats.nodes += 1
         if self.stats.nodes & _BUDGET_CHECK_MASK == 0:
             if time.perf_counter() - self._start > self.budget.max_seconds:
                 raise _Budget()

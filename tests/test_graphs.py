@@ -1,5 +1,6 @@
 """Graph core: structure queries, canonical forms, graph6, DOT."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -278,6 +279,17 @@ def test_graph6_large_n_encoding():
     assert from_graph6(g.to_graph6()) == g
     g2 = Graph(64, [(0, 63), (1, 2)])
     assert from_graph6(g2.to_graph6()) == g2
+
+
+def test_graph6_round_trip_long_path():
+    g = path(1200)
+    text = g.to_graph6()
+    # digest of the reference encoding, the one networkx writes for path_graph(1200)
+    assert len(text) == 4 + (1200 * 1199 // 2 + 5) // 6
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b120a239742e8cc7302db21e65639572b594bc9ae5f24f2e2147ee898d8d29d5"
+    )
+    assert from_graph6(text) == g
 
 
 def test_graph6_errors_carry_offsets():

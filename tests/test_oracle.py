@@ -2,10 +2,19 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from ramsat.colorings import TwoColoring, is_bad_coloring
-from ramsat.graphs import Graph, GraphError, complete, cycle, from_graph6, star
+from ramsat.graphs import (
+    Graph,
+    GraphError,
+    complete,
+    complete_bipartite,
+    cycle,
+    from_graph6,
+    star,
+)
 from ramsat.oracle import (
     BruteForceResult,
     brute_force_bad_coloring,
@@ -16,6 +25,7 @@ from ramsat.oracle import (
     scan_k3_saturated,
 )
 from ramsat.saturation import is_rmin_saturated
+from ramsat.search import count_bad_colorings
 
 # number of isomorphism classes on n vertices
 CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -60,6 +70,52 @@ def test_brute_force_masks_reverify():
     for mask in range(1 << g.m):
         if mask not in listed:
             assert not is_bad_coloring(g, 3, TwoColoring.from_mask(g.m, mask))
+
+
+def _predicate_masks(g, k):
+    return [
+        x
+        for x in range(1 << g.m)
+        if is_bad_coloring(g, k, TwoColoring.from_mask(g.m, x))
+    ]
+
+
+def _assert_scan_matches_predicate(g, k):
+    masks = brute_force_bad_colorings(g, k)
+    assert masks.dtype == np.uint32
+    assert masks.tolist() == _predicate_masks(g, k), (g.edges, k)
+
+
+def test_brute_force_matches_predicate_on_small_graphs():
+    labelled = [
+        Graph(n, (e for i, e in enumerate(complete(n).edges) if subset >> i & 1))
+        for n in range(5)
+        for subset in range(1 << comb(n, 2))
+    ]
+    for g in labelled + list(enumerate_graphs(5)):
+        for k in range(2, 7):
+            _assert_scan_matches_predicate(g, k)
+
+
+@pytest.mark.parametrize("m", [1, 5, 6, 7, 12])
+def test_brute_force_word_boundaries(m):
+    # 64 colorings per word: m < 6 leaves unused bits in the only word,
+    # m > 6 spreads the colorings over 2^(m-6) words
+    g = Graph(6, complete(6).edges[:m])
+    for k in range(2, 7):
+        _assert_scan_matches_predicate(g, k)
+
+
+def test_brute_force_at_the_edge_cap():
+    # K_{4,6} is triangle-free, so at k=3 the bad colorings are exactly
+    # the blue matchings: sum over j of C(4,j) C(6,j) j! = 1045
+    g = complete_bipartite(4, 6)
+    assert g.m == 24
+    masks = brute_force_bad_colorings(g, 3)
+    assert len(masks) == count_bad_colorings(g, 3).count == 1045
+    assert masks.dtype == np.uint32 and (np.diff(masks.astype(np.int64)) > 0).all()
+    with pytest.raises(GraphError):
+        brute_force_bad_colorings(complete_bipartite(5, 5), 3)  # m = 25
 
 
 def test_compute_sat_below_ramsey():

@@ -142,7 +142,7 @@ def test_is_rmin_saturated_budget_inconclusive(monkeypatch):
     rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=7))
     assert rep.status == INCONCLUSIVE
     assert rep.reason == (
-        "enumeration of G's bad colorings exhausted its budget after 8 nodes"
+        "enumeration of G's bad colorings exhausted its budget after 7 nodes"
     )
     # per-non-edge fallback: no single search needs 20 nodes, all together do
     monkeypatch.setattr(search, "EXTEND_CAP", 1)

@@ -123,6 +123,17 @@ def test_budget_exhaustion_is_distinct():
     assert find_bad_coloring(g, 5).found
 
 
+def test_exhausted_search_reports_the_nodes_it_searched():
+    g = complete(8)  # at k=5, find needs 4 nodes and a full count 34
+    assert find_bad_coloring(g, 5, SearchBudget(max_nodes=4)).found
+    for n in (1, 2, 3):
+        res = find_bad_coloring(g, 5, SearchBudget(max_nodes=n))
+        assert res.status == EXHAUSTED and res.stats.nodes == n
+    for n in (1, 20, 33):
+        res = count_bad_colorings(g, 5, budget=SearchBudget(max_nodes=n))
+        assert res.status == EXHAUSTED and res.stats.nodes == n
+
+
 def test_determinism():
     g = complete(6)
     a = find_bad_coloring(g, 4)
