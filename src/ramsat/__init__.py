@@ -19,7 +19,6 @@ from .constructions import (
     k3t4_sat_value,
     predicted_edge_count,
     prop1_upper_bound,
-    reference_coloring,
     theorem_bounds,
 )
 from .graphs import (

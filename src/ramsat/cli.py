@@ -268,8 +268,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    budget = SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    results = verify.run_all(quick=args.quick, budget=budget)
+    results = verify.run_all(quick=args.quick, budget=_budget(args))
     _emit(verify.format_table(results) + "\n", None)
     if all(r.passed for r in results):
         return EXIT_OK
@@ -282,10 +281,9 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _add_budget_args(p) -> None:
-    p.add_argument("--max-nodes", type=int, default=search.DEFAULT_BUDGET.max_nodes)
-    p.add_argument(
-        "--max-seconds", type=float, default=search.DEFAULT_BUDGET.max_seconds
-    )
+    default = SearchBudget()
+    p.add_argument("--max-nodes", type=int, default=default.max_nodes)
+    p.add_argument("--max-seconds", type=float, default=default.max_seconds)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,6 @@ __all__ = [
     "BuiltConstruction",
     "TheoremBounds",
     "build",
-    "reference_coloring",
     "predicted_edge_count",
     "general_split",
     "general_printed_formula_edge_count",
@@ -33,9 +32,6 @@ __all__ = [
     "k3p3_sat_value",
     "hanson_toft_value",
 ]
-
-KINDS = ("star", "j", "c5dup", "petersen", "geven", "godd", "general")
-
 
 def _half_up(k: int) -> int:
     return (k + 1) // 2  # ceil(k/2)
@@ -360,15 +356,6 @@ def _build_general(spec: ConstructionSpec) -> BuiltConstruction:
             " stricter threshold n_min + 4 is not met",
         )
     return BuiltConstruction(spec, g, roles, coloring, k, notes)
-
-
-def reference_coloring(spec: ConstructionSpec) -> TwoColoring:
-    """The intended bad coloring; only geven/godd/general carry one."""
-    if spec.kind not in ("geven", "godd", "general"):
-        raise GraphError(f"no reference coloring for kind {spec.kind!r}")
-    built = build(spec)
-    assert built.reference_coloring is not None
-    return built.reference_coloring
 
 
 # -- predicted edge counts ----------------------------------------------------

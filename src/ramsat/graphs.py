@@ -129,9 +129,6 @@ class Graph:
         u, v = self.edges[index]
         return EdgeRef(index, u, v)
 
-    def edge_refs(self) -> tuple[EdgeRef, ...]:
-        return tuple(EdgeRef(i, u, v) for i, (u, v) in enumerate(self.edges))
-
     def edge_index(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u

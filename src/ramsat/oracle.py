@@ -19,17 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import search
 from .colorings import enumerate_subtrees
 from .graphs import Graph, GraphError
 from .saturation import is_kt_saturated
-from .search import (
-    DEFAULT_BUDGET,
-    EXHAUSTED,
-    FOUND,
-    BudgetPool,
-    InconclusiveError,
-    SearchBudget,
-)
+from .search import EXHAUSTED, FOUND, InconclusiveError, SearchBudget
 
 MAX_ENUM_N = 8
 MAX_SCAN_EDGES = 24
@@ -167,24 +161,26 @@ def compute_sat(n: int, k: int) -> SatResult:
     )
 
 
-def family_ramsey_number(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
+def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
     """Least n such that every coloring of K_n has a red triangle or a blue
     k-vertex tree.
 
     Uses the full scan while it fits, the pruned engine beyond; the value is
     reached quickly because the large complete graphs collapse under the
-    forced-blue presolve. All engine searches share ``budget``.
+    forced-blue presolve. All engine searches draw on ``budget``, a fresh
+    default one when None.
     """
     if not 2 <= k <= MAX_RAMSEY_K:
         raise GraphError(f"family_ramsey_number supports 2 <= k <= {MAX_RAMSEY_K}")
-    pool = BudgetPool(budget)
+    if budget is None:
+        budget = SearchBudget()
     n = 1
     while True:
         g = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
         if g.m <= MAX_SCAN_EDGES:
             exists = brute_force_bad_coloring(g, k).exists
         else:
-            res = pool.find_bad_coloring(g, k)
+            res = search.find_bad_coloring(g, k, budget)
             if res.status == EXHAUSTED:
                 raise InconclusiveError(f"search on K_{n} exhausted its budget")
             exists = res.status == FOUND

@@ -13,17 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import search
 from .colorings import BadColoringCertificate, TwoColoring, make_certificate
 from .graphs import Graph, GraphError, bits
-from .search import (
-    DEFAULT_BUDGET,
-    EXHAUSTED,
-    FOUND,
-    NONE,
-    BudgetPool,
-    InconclusiveError,
-    SearchBudget,
-)
+from .search import EXHAUSTED, FOUND, NONE, InconclusiveError, SearchBudget
 
 SATURATED = "saturated"
 NOT_SATURATED = "not-saturated"
@@ -125,7 +118,7 @@ class SaturationReport:
 
 
 def is_rmin_saturated(
-    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, k: int, budget: SearchBudget | None = None
 ) -> SaturationReport:
     """Decide saturation; every verdict ships re-checkable evidence.
 
@@ -140,12 +133,13 @@ def is_rmin_saturated(
     A single surviving non-edge settles 'not saturated' even if other
     searches ran out of budget; 'inconclusive' is reported only when no
     counterexample was found and some search was cut short. All searches
-    share ``budget``.
+    draw on ``budget``, a fresh default one when None.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    pool = BudgetPool(budget)
-    ext = pool.extend_bad_colorings(g, k)
+    if budget is None:
+        budget = SearchBudget()
+    ext = search.extend_bad_colorings(g, k, budget)
     exhausted = ""
     if ext.status == EXHAUSTED:
         exhausted = (
@@ -173,7 +167,7 @@ def is_rmin_saturated(
         elif ext.status == EXHAUSTED:
             outcomes.append(NonEdgeOutcome(pair, EXHAUSTED, 0))
         else:
-            res = pool.find_bad_coloring(g.with_edge(*pair), k)
+            res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
             outcomes.append(NonEdgeOutcome(pair, res.status, res.stats.nodes))
             if res.status == FOUND:
                 failures.append((pair, res.certificate))
@@ -200,23 +194,24 @@ def is_rmin_saturated(
 
 
 def is_ramsey_minimal(
-    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, k: int, budget: SearchBudget | None = None
 ) -> bool:
     """True iff g admits no bad coloring but every g-e does.
 
     Raises InconclusiveError when a sub-search exhausts the budget that
-    all of them share.
+    all of them draw on, a fresh default one when None.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    pool = BudgetPool(budget)
-    base = pool.find_bad_coloring(g, k)
+    if budget is None:
+        budget = SearchBudget()
+    base = search.find_bad_coloring(g, k, budget)
     if base.status == EXHAUSTED:
         raise InconclusiveError("base search exhausted its budget")
     if base.status == FOUND:
         return False
     for u, v in g.edges:
-        res = pool.find_bad_coloring(g.without_edge(u, v), k)
+        res = search.find_bad_coloring(g.without_edge(u, v), k, budget)
         if res.status == EXHAUSTED:
             raise InconclusiveError(f"search on g - ({u},{v}) exhausted its budget")
         if res.status != FOUND:

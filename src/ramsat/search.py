@@ -49,28 +49,33 @@ class InconclusiveError(RuntimeError):
     """A verdict could not be computed within the search budget."""
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    """Explicit node and wall-time caps; exceeding either is reported as a
-    distinct outcome, never conflated with 'no solution exists'."""
+    """A node and wall-time account that every search handed it draws on.
 
-    max_nodes: int = 50_000_000
-    max_seconds: float = 900.0
+    The clock starts when the budget is made, and each search is charged
+    the nodes it used, so one budget bounds every search of a command, not
+    each one. Running out is reported as a distinct outcome, never
+    conflated with 'no solution exists'.
+    """
 
-
-DEFAULT_BUDGET = SearchBudget()
+    def __init__(self, max_nodes: int = 50_000_000, max_seconds: float = 900.0):
+        self.max_nodes = max_nodes
+        self.max_seconds = max_seconds
+        self.nodes_left = max_nodes
+        self.deadline = time.perf_counter() + max_seconds
 
 
 @dataclass
 class SearchStats:
     """Work done by one search.
 
-    ``nodes``: branching edges colored by choice; this is what
-    ``SearchBudget.max_nodes`` caps. ``backtracks``: branch colors refuted
-    at once by propagation, whatever the search mode. ``propagations``:
-    edge colors forced by a triangle with two red edges or by a blue
-    component at the k-1 cap, presolve included. ``wall_time``: seconds
-    from start to verdict, presolve included.
+    ``nodes``: branching edges colored by choice; this is what the search
+    is charged to its ``SearchBudget``. ``backtracks``: branch colors
+    refuted at once by propagation, whatever the search mode, a blue branch
+    that would merge two blue components into k or more vertices included.
+    ``propagations``: edge colors forced by a triangle with two red edges
+    or by a blue component at the k-1 cap, presolve included.
+    ``wall_time``: seconds from start to verdict, presolve included.
     """
 
     nodes: int = 0
@@ -122,10 +127,10 @@ class _Budget(Exception):
 
 
 class _Engine:
-    def __init__(self, g: Graph, k: int, budget: SearchBudget):
+    def __init__(self, g: Graph, k: int, budget: SearchBudget | None):
         self.g = g
         self.k = k
-        self.budget = budget
+        self.budget = SearchBudget() if budget is None else budget
         self.m = g.m
         self.eu = [e[0] for e in g.edges]
         self.ev = [e[1] for e in g.edges]
@@ -262,11 +267,11 @@ class _Engine:
     # -- search driver -------------------------------------------------------
 
     def _tick(self) -> None:
-        if self.stats.nodes >= self.budget.max_nodes:
+        if self.stats.nodes >= self.budget.nodes_left:
             raise _Budget()
         self.stats.nodes += 1
         if self.stats.nodes & _BUDGET_CHECK_MASK == 0:
-            if time.perf_counter() - self._start > self.budget.max_seconds:
+            if time.perf_counter() > self.budget.deadline:
                 raise _Budget()
 
     def _next_unassigned(self, start: int) -> int:
@@ -276,15 +281,6 @@ class _Engine:
         while i < self.m and color[order[i]] != UNASSIGNED:
             i += 1
         return i
-
-    def _branch_colors(self, e: int):
-        u = self.eu[e]
-        v = self.ev[e]
-        ru = self._find(u)
-        rv = self._find(v)
-        if ru != rv and self.size[ru] + self.size[rv] >= self.k:
-            return (RED,)
-        return (RED, BLUE)
 
     def _presolve(self) -> bool:
         forced = forced_blue_edges(self.g, self.k)
@@ -355,10 +351,10 @@ class _Engine:
     def _dfs(self, leaf, bound: bool) -> None:
         """Depth-first search over the static branch order.
 
-        Each frame holds a branching edge, its colors, how many of them
-        were tried and the trail mark to undo to. With ``bound``, a node
-        that cannot beat the best red count so far (every unassigned edge
-        red at best) is pruned.
+        Each frame holds a branching edge, how many of its colors (red,
+        then blue) were tried and the trail mark to undo to. With
+        ``bound``, a node that cannot beat the best red count so far (every
+        unassigned edge red at best) is pruned.
         """
         stack: list[list] = []
         start = 0
@@ -372,17 +368,17 @@ class _Engine:
                 else:
                     e = self.order[i]
                     self._tick()
-                    stack.append([i, e, self._branch_colors(e), 0, self._mark()])
+                    stack.append([i, e, 0, self._mark()])
             while stack:
                 frame = stack[-1]
-                i, e, colors, tried, mark = frame
+                i, e, tried, mark = frame
                 if tried:
                     self._undo_to(mark)
-                if tried == len(colors):
+                if tried == 2:
                     stack.pop()
                     continue
-                frame[3] = tried + 1
-                if self._assign(e, colors[tried]):
+                frame[2] = tried + 1
+                if self._assign(e, BLUE if tried else RED):
                     start = i + 1
                     break
                 self.stats.backtracks += 1
@@ -391,10 +387,11 @@ class _Engine:
 
     def run(self, leaf, bound: bool = False) -> str:
         """Presolve, then search: EXHAUSTED when the budget ran out first,
-        else FOUND or NONE by whether a leaf kept a coloring."""
+        else FOUND or NONE by whether a leaf kept a coloring. The nodes
+        searched are charged to the budget."""
         self._start = time.perf_counter()
         try:
-            if self.budget.max_seconds <= 0:
+            if self._start >= self.budget.deadline:
                 raise _Budget()
             if self._presolve():
                 self._dfs(leaf, bound)
@@ -402,6 +399,7 @@ class _Engine:
             return EXHAUSTED
         finally:
             self.stats.wall_time = time.perf_counter() - self._start
+            self.budget.nodes_left -= self.stats.nodes
         return NONE if self.best is None else FOUND
 
 
@@ -411,7 +409,7 @@ def _validate(g: Graph, k: int) -> None:
 
 
 def find_bad_coloring(
-    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, k: int, budget: SearchBudget | None = None
 ) -> FindResult:
     """Find any bad coloring, or prove none exists (exhaustive search)."""
     _validate(g, k)
@@ -421,7 +419,7 @@ def find_bad_coloring(
 
 
 def count_bad_colorings(
-    g: Graph, k: int, cap: int = 1 << 62, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, k: int, cap: int = 1 << 62, budget: SearchBudget | None = None
 ) -> CountResult:
     """Exact number of bad colorings, saturating at ``cap``.
 
@@ -437,7 +435,7 @@ def count_bad_colorings(
 
 
 def find_max_red_bad_coloring(
-    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, k: int, budget: SearchBudget | None = None
 ) -> FindResult:
     """Among all bad colorings, one with the maximum number of red edges.
 
@@ -451,7 +449,7 @@ def find_max_red_bad_coloring(
 
 
 def extend_bad_colorings(
-    g: Graph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, k: int, budget: SearchBudget | None = None
 ) -> ExtendResult:
     """Enumerate bad colorings of g and try each across every non-edge.
 
@@ -469,28 +467,3 @@ def extend_bad_colorings(
         status != EXHAUSTED and not engine.capped,
         engine.stats,
     )
-
-
-class BudgetPool:
-    """One node pool and one deadline for all the searches of one call.
-
-    Each search gets what the searches before it left, so a budget bounds
-    a whole saturation, minimality or Ramsey check, not each sub-search.
-    """
-
-    def __init__(self, budget: SearchBudget):
-        self.nodes_left = budget.max_nodes
-        self.deadline = time.perf_counter() + budget.max_seconds
-
-    def _left(self) -> SearchBudget:
-        return SearchBudget(self.nodes_left, self.deadline - time.perf_counter())
-
-    def find_bad_coloring(self, g: Graph, k: int) -> FindResult:
-        res = find_bad_coloring(g, k, self._left())
-        self.nodes_left -= res.stats.nodes
-        return res
-
-    def extend_bad_colorings(self, g: Graph, k: int) -> ExtendResult:
-        res = extend_bad_colorings(g, k, self._left())
-        self.nodes_left -= res.stats.nodes
-        return res

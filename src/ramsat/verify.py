@@ -25,7 +25,7 @@ from .constructions import (
     theorem_bounds,
 )
 from .graphs import petersen
-from .search import DEFAULT_BUDGET, OK, SearchBudget
+from .search import OK, SearchBudget
 
 # Admissible (|B|, |C|) with |B| <= |C| for each deficit e = 2n - k
 _SPLIT_TABLE = {
@@ -47,17 +47,11 @@ class CriterionResult:
     inconclusive: bool = False  # not passed only because a search ran out of budget
 
 
-def _result(
-    number: int, title: str, passed: bool, details: str, inconclusive: bool = False
-) -> CriterionResult:
-    return CriterionResult(number, title, passed, details, inconclusive)
-
-
 def _checked(
     number: int, title: str, failed: bool, exhausted: bool, details: str
 ) -> CriterionResult:
     """Pass when no check failed and no search ran out of budget."""
-    return _result(
+    return CriterionResult(
         number, title, not (failed or exhausted), details, exhausted and not failed
     )
 
@@ -76,11 +70,13 @@ def criterion_1() -> CriterionResult:
         ):
             bad.append(("godd", n, g.m))
     if bad:
-        return _result(1, title, False, f"mismatches: {bad}")
-    return _result(1, title, True, "even n in [8,40] and odd n in [9,41] all exact")
+        return CriterionResult(1, title, False, f"mismatches: {bad}")
+    return CriterionResult(
+        1, title, True, "even n in [8,40] and odd n in [9,41] all exact"
+    )
 
 
-def criterion_2(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
+def criterion_2(budget: SearchBudget | None = None) -> CriterionResult:
     title = "geven(18) and godd(19) are saturated with 45 and 47 edges"
     details = []
     failed = exhausted = False
@@ -93,7 +89,7 @@ def criterion_2(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
     return _checked(2, title, failed, exhausted, "; ".join(details))
 
 
-def criterion_3(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
+def criterion_3(budget: SearchBudget | None = None) -> CriterionResult:
     title = "geven(18) and godd(19) admit exactly one bad 2-coloring"
     details = []
     failed = exhausted = False
@@ -108,7 +104,7 @@ def criterion_3(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
     return _checked(3, title, failed, exhausted, "; ".join(details))
 
 
-def criterion_4(budget: SearchBudget = DEFAULT_BUDGET) -> CriterionResult:
+def criterion_4(budget: SearchBudget | None = None) -> CriterionResult:
     title = "general(5,20): saturated, unique coloring, 68 edges in [47, 74]"
     spec = ConstructionSpec.general(5, 20)
     g = build(spec).graph
@@ -147,16 +143,16 @@ def criterion_5(quick: bool = False) -> CriterionResult:
             if built != direct:
                 bad.append((k, n, built, direct))
     if bad:
-        return _result(5, title, False, f"mismatches: {bad}")
+        return CriterionResult(5, title, False, f"mismatches: {bad}")
     details = (
         f"k in {ks}, all valid n <= n_min + 3*ceil(k/2): built == direct;"
         f" printed closed form exceeds the built count by {sorted(deltas)}"
     )
-    return _result(5, title, True, details)
+    return CriterionResult(5, title, True, details)
 
 
 def criterion_6(
-    quick: bool = False, budget: SearchBudget = DEFAULT_BUDGET
+    quick: bool = False, budget: SearchBudget | None = None
 ) -> CriterionResult:
     title = "engine existence/count verdicts equal the 2^m scan (all n <= 6)"
     max_n = 5 if quick else 6
@@ -168,7 +164,7 @@ def criterion_6(
                 f = search.find_bad_coloring(g, k, budget)
                 c = search.count_bad_colorings(g, k, budget=budget)
                 if f.status == search.EXHAUSTED or c.status != OK:
-                    return _result(
+                    return CriterionResult(
                         6,
                         title,
                         False,
@@ -176,7 +172,7 @@ def criterion_6(
                         inconclusive=True,
                     )
                 if (f.status == search.FOUND) != want.exists or c.count != want.count:
-                    return _result(
+                    return CriterionResult(
                         6,
                         title,
                         False,
@@ -184,11 +180,11 @@ def criterion_6(
                         f" engine ({f.status}, {c.count}) vs scan {want}",
                     )
                 if f.found and not f.certificate.verify(g, k):
-                    return _result(
+                    return CriterionResult(
                         6, title, False, f"bad certificate on {g.to_graph6()} k={k}"
                     )
                 checked += 1
-    return _result(
+    return CriterionResult(
         6, title, True, f"{checked} (graph, k) pairs agree on existence and count"
     )
 
@@ -197,7 +193,7 @@ def criterion_7() -> CriterionResult:
     title = "sat(n,k) = C(n,2) below the family Ramsey number; r(3)=5, r(4)=7"
     rams = {k: oracle.family_ramsey_number(k) for k in (3, 4)}
     if rams != {3: 5, 4: 7}:
-        return _result(7, title, False, f"family Ramsey numbers {rams}")
+        return CriterionResult(7, title, False, f"family Ramsey numbers {rams}")
     bad = []
     for k, r in rams.items():
         for n in range(2, r):
@@ -205,8 +201,10 @@ def criterion_7() -> CriterionResult:
             if res.min_edges != comb(n, 2):
                 bad.append((n, k, res.min_edges))
     if bad:
-        return _result(7, title, False, f"sat mismatches: {bad}")
-    return _result(7, title, True, "full scans confirm K_n is the unique extremum")
+        return CriterionResult(7, title, False, f"sat mismatches: {bad}")
+    return CriterionResult(
+        7, title, True, "full scans confirm K_n is the unique extremum"
+    )
 
 
 def criterion_8(quick: bool = False) -> CriterionResult:
@@ -216,19 +214,21 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     for n in range(5, max_n + 1):
         scan = oracle.scan_k3_saturated(n, 2)
         if not scan:
-            return _result(8, title, False, f"no graphs found at n={n}")
+            return CriterionResult(8, title, False, f"no graphs found at n={n}")
         for g, m in scan:
             cls = saturation.classify_k3_saturated(g)
             if cls.tag != "j":
-                return _result(8, title, False, f"non-J graph at n={n}: {g.to_graph6()}")
+                return CriterionResult(
+                    8, title, False, f"non-J graph at n={n}: {g.to_graph6()}"
+                )
             b, c = sorted((cls.b, cls.c))
             if m != 2 * (n - 2) + b * c - b - c:
-                return _result(
+                return CriterionResult(
                     8, title, False, f"edge formula fails at n={n}: {g.to_graph6()}"
                 )
             deficit = 2 * n - m
             if deficit in _SPLIT_TABLE and not _SPLIT_TABLE[deficit](b, c):
-                return _result(
+                return CriterionResult(
                     8,
                     title,
                     False,
@@ -237,16 +237,18 @@ def criterion_8(quick: bool = False) -> CriterionResult:
             checked += 1
         min_m = scan[0][1]
         if min_m != 2 * n - 5:
-            return _result(8, title, False, f"minimum at n={n} is {min_m}, want {2*n-5}")
+            return CriterionResult(
+                8, title, False, f"minimum at n={n} is {min_m}, want {2*n-5}"
+            )
         for g, m in scan:
             if m != min_m:
                 continue
             cls = saturation.classify_k3_saturated(g)
             if 1 not in (cls.b, cls.c):
-                return _result(
+                return CriterionResult(
                     8, title, False, f"minimizer without |B|=1 or |C|=1 at n={n}"
                 )
-    return _result(
+    return CriterionResult(
         8, title, True, f"{checked} graphs over 5 <= n <= {max_n} all conform"
     )
 
@@ -260,7 +262,7 @@ def criterion_9() -> CriterionResult:
         and p.m == 15 == 3 * p.n - 15
         and saturation.k3_saturated_edge_bound(p) == 2 * p.m
     )
-    return _result(
+    return CriterionResult(
         9,
         title,
         ok,
@@ -270,7 +272,7 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10(
-    quick: bool = False, budget: SearchBudget = DEFAULT_BUDGET
+    quick: bool = False, budget: SearchBudget | None = None
 ) -> CriterionResult:
     title = "bad-coloring structure: forced-blue edges, small components, max-red"
     witnesses = (
@@ -284,7 +286,7 @@ def criterion_10(
         g = build(spec).graph
         res = search.find_bad_coloring(g, k, budget)
         if res.status == search.EXHAUSTED:
-            return _result(
+            return CriterionResult(
                 10,
                 title,
                 False,
@@ -292,14 +294,18 @@ def criterion_10(
                 inconclusive=True,
             )
         if not res.found:
-            return _result(10, title, False, f"{spec.name}: no bad coloring found")
+            return CriterionResult(
+                10, title, False, f"{spec.name}: no bad coloring found"
+            )
         unique[spec] = res.certificate
         forced = forced_blue_edges(g, k)
         if not forced.applicable:
-            return _result(10, title, False, f"{spec.name}: threshold not applicable")
+            return CriterionResult(
+                10, title, False, f"{spec.name}: threshold not applicable"
+            )
         for ref in forced.edges:
             if not res.certificate.coloring.is_blue(ref.index):
-                return _result(
+                return CriterionResult(
                     10, title, False, f"{spec.name}: forced edge {ref} is red"
                 )
     max_n = 5 if quick else 6
@@ -315,7 +321,7 @@ def criterion_10(
                 for ref in forced_blue_edges(g, k).edges:
                     bit = np.uint32(1 << ref.index)
                     if np.any(masks & bit):
-                        return _result(
+                        return CriterionResult(
                             10,
                             title,
                             False,
@@ -329,12 +335,12 @@ def criterion_10(
             g, k, unique[spec], saturated=True
         )
         if rep.small_count_ok is not True or rep.red_complete_ok is False:
-            return _result(
+            return CriterionResult(
                 10, title, False, f"{spec.name}: small-component clauses fail: {rep}"
             )
         mr = search.find_max_red_bad_coloring(g, k, budget)
         if not mr.found:
-            return _result(
+            return CriterionResult(
                 10,
                 title,
                 False,
@@ -345,19 +351,23 @@ def criterion_10(
             g, k, mr.certificate, saturated=True, max_red=True
         )
         if rep.max_red_degree_ok is not True or rep.red_two_connected_ok is not True:
-            return _result(
+            return CriterionResult(
                 10, title, False, f"{spec.name}: max-red clauses fail: {rep}"
             )
     details = (
         f"witness colorings and {scanned} enumerated (graph, k) pairs conform;"
         " max-red colorings have red max degree <= n-3 and 2-connected red graphs"
     )
-    return _result(10, title, True, details)
+    return CriterionResult(10, title, True, details)
 
 
 def run_all(
-    quick: bool = False, budget: SearchBudget = DEFAULT_BUDGET
+    quick: bool = False, budget: SearchBudget | None = None
 ) -> list[CriterionResult]:
+    """Every criterion in order; all their searches draw on one budget, a
+    fresh default one when None."""
+    if budget is None:
+        budget = SearchBudget()
     return [
         criterion_1(),
         criterion_2(budget),

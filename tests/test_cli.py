@@ -8,6 +8,7 @@ from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import complete, from_graph6, path, star
+from ramsat.search import _Engine
 
 
 @pytest.fixture
@@ -224,3 +225,20 @@ def test_verify_paper_budget_exhaustion_is_inconclusive(capsys):
     assert "FAIL" not in out and "no bad coloring found" not in out
     assert out.count("INCONCLUSIVE") == 5
     assert out.splitlines()[-1] == "5/10 criteria passed, 5 inconclusive"
+
+
+def test_verify_paper_budget_bounds_the_whole_command(capsys, monkeypatch):
+    spent = []
+    run_search = _Engine.run
+
+    def counted(self, *args, **kwargs):
+        try:
+            return run_search(self, *args, **kwargs)
+        finally:
+            spent.append(self.stats.nodes)
+
+    monkeypatch.setattr(_Engine, "run", counted)
+    code, out, _ = run(capsys, ["verify-paper", "--quick", "--max-nodes", "20"])
+    assert code == 3
+    assert out.splitlines()[-1] == "6/10 criteria passed, 4 inconclusive"
+    assert sum(spent) <= 20

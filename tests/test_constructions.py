@@ -16,7 +16,6 @@ from ramsat.constructions import (
     k3t4_sat_value,
     predicted_edge_count,
     prop1_upper_bound,
-    reference_coloring,
     theorem_bounds,
 )
 from ramsat.graphs import GraphError, complete_bipartite
@@ -183,10 +182,9 @@ def test_general_threshold_note():
 
 
 def test_reference_coloring_api():
-    c = reference_coloring(ConstructionSpec.geven(18))
+    c = build(ConstructionSpec.geven(18)).reference_coloring
     assert len(c) == 45
-    with pytest.raises(GraphError):
-        reference_coloring(ConstructionSpec.petersen())
+    assert build(ConstructionSpec.petersen()).reference_coloring is None
 
 
 def test_theorem_bounds():

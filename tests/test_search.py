@@ -134,6 +134,19 @@ def test_exhausted_search_reports_the_nodes_it_searched():
         assert res.status == EXHAUSTED and res.stats.nodes == n
 
 
+def test_one_budget_is_spent_across_searches():
+    g = complete(8)  # at k=5, find needs 4 nodes
+    budget = SearchBudget(max_nodes=6)
+    first = find_bad_coloring(g, 5, budget)
+    assert first.found and budget.nodes_left == 6 - first.stats.nodes
+    second = find_bad_coloring(g, 5, budget)
+    assert second.status == EXHAUSTED and second.stats.nodes == 2
+    assert budget.nodes_left == 6 - first.stats.nodes - second.stats.nodes == 0
+    # a budget whose deadline has passed stops a search before presolve
+    res = find_bad_coloring(star(10), 4, SearchBudget(max_seconds=0))
+    assert res.status == EXHAUSTED and res.stats.nodes == 0
+
+
 def test_determinism():
     g = complete(6)
     a = find_bad_coloring(g, 4)
