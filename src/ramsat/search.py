@@ -6,8 +6,10 @@ State is a partial edge assignment plus two incremental structures:
   red edges are a conflict;
 * a union-find over blue edges with size tracking and rollback — a blue
   assignment that would grow a component to k vertices is a conflict, and
-  once a component reaches the k-1 cap every unassigned edge leaving it
-  is forced red.
+  after every union each unassigned edge between the new component and a
+  component with k or more vertices together with it is forced red. A
+  count of components per size skips that scan when no component is
+  large enough to force anything.
 
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
@@ -73,8 +75,9 @@ class SearchStats:
     is charged to its ``SearchBudget``. ``backtracks``: branch colors
     refuted at once by propagation, whatever the search mode, a blue branch
     that would merge two blue components into k or more vertices included.
-    ``propagations``: edge colors forced by a triangle with two red edges
-    or by a blue component at the k-1 cap, presolve included.
+    ``propagations``: edge colors forced, presolve included: blue by a
+    triangle with two red edges, and component-forced red on an edge
+    between two blue components with k or more vertices together.
     ``wall_time``: seconds from start to verdict, presolve included.
     """
 
@@ -140,15 +143,19 @@ class _Engine:
             self.tris_of[a].append(t)
             self.tris_of[b].append(t)
             self.tris_of[c].append(t)
-        self.inc: list[list[int]] = [[] for _ in range(g.n)]
+        # (edge, other end) for each edge at a vertex
+        self.inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for i, (u, v) in enumerate(g.edges):
-            self.inc[u].append(i)
-            self.inc[v].append(i)
+            self.inc[u].append((i, v))
+            self.inc[v].append((i, u))
         self.tri_red = [0] * len(self.tri_edges)
         self.color = [UNASSIGNED] * self.m
         self.parent = list(range(g.n))
         self.size = [1] * g.n
         self.members: list[list[int]] = [[v] for v in range(g.n)]
+        # by_size[t]: number of blue components with t vertices (t < k)
+        self.by_size = [0] * (k + 1)
+        self.by_size[1] = g.n
         self.color_trail: list[int] = []
         self.union_trail: list[tuple[int, int]] = []
         self.red_count = 0
@@ -212,28 +219,33 @@ class _Engine:
                 if conflict:
                     return False
             else:
-                u = self.eu[e]
-                v = self.ev[e]
-                ru = self._find(u)
-                rv = self._find(v)
+                ru = self._find(self.eu[e])
+                rv = self._find(self.ev[e])
                 if ru != rv:
                     su = self.size[ru]
                     sv = self.size[rv]
-                    if su + sv >= k:
+                    s = su + sv
+                    if s >= k:
                         return False
                     if su < sv:
                         ru, rv = rv, ru
                     self.parent[rv] = ru
-                    self.size[ru] = su + sv
+                    self.size[ru] = s
                     self.members[ru].extend(self.members[rv])
                     self.union_trail.append((rv, ru))
-                    if su + sv == k - 1:
-                        # component is full: edges leaving it must be red
+                    by_size = self.by_size
+                    by_size[su] -= 1
+                    by_size[sv] -= 1
+                    by_size[s] += 1
+                    # edges to a component with >= need vertices must be
+                    # red; scan only when some other component has them
+                    need = k - s
+                    if need <= 1 or sum(by_size[need:]) > (s >= need):
                         for x in self.members[ru]:
-                            for f in self.inc[x]:
+                            for f, y in self.inc[x]:
                                 if color[f] == UNASSIGNED:
-                                    y = self.ev[f] if self.eu[f] == x else self.eu[f]
-                                    if self._find(y) != ru:
+                                    ry = self._find(y)
+                                    if ry != ru and self.size[ry] >= need:
                                         stack.append((f, RED))
                                         self.stats.propagations += 1
         return True
@@ -247,11 +259,16 @@ class _Engine:
         parent = self.parent
         size = self.size
         members = self.members
+        by_size = self.by_size
         while len(union_trail) > ut:
             small, big = union_trail.pop()
             parent[small] = small
             ssz = size[small]
-            size[big] -= ssz
+            s = size[big]
+            size[big] = s - ssz
+            by_size[s] -= 1
+            by_size[ssz] += 1
+            by_size[s - ssz] += 1
             del members[big][-ssz:]
         color_trail = self.color_trail
         color = self.color

@@ -2,13 +2,15 @@
 
 Each criterion is an independent function returning a CriterionResult; the
 CLI's verify-paper command and the acceptance test suite both run them.
-All expected values are exact. A criterion whose search ran out of budget
-is reported inconclusive, never passed, and failed only when some other
-check definitely failed.
+All expected values are exact. A criterion whose search ran out of budget,
+or whose oracle scan was due to start after the budget's deadline, is
+reported inconclusive, never passed, and failed only when some other check
+definitely failed.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from math import comb
 
@@ -54,6 +56,12 @@ def _checked(
     return CriterionResult(
         number, title, not (failed or exhausted), details, exhausted and not failed
     )
+
+
+def _out_of_time(budget: SearchBudget | None) -> bool:
+    """True once the deadline of ``budget`` has passed; the oracle scans
+    check it before they start, since no search inside them draws on it."""
+    return budget is not None and time.perf_counter() >= budget.deadline
 
 
 def criterion_1() -> CriterionResult:
@@ -189,9 +197,13 @@ def criterion_6(
     )
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7(budget: SearchBudget | None = None) -> CriterionResult:
     title = "sat(n,k) = C(n,2) below the family Ramsey number; r(3)=5, r(4)=7"
-    rams = {k: oracle.family_ramsey_number(k) for k in (3, 4)}
+    if _out_of_time(budget):
+        return CriterionResult(
+            7, title, False, "time budget ran out before the scans", inconclusive=True
+        )
+    rams = {k: oracle.family_ramsey_number(k, budget) for k in (3, 4)}
     if rams != {3: 5, 4: 7}:
         return CriterionResult(7, title, False, f"family Ramsey numbers {rams}")
     bad = []
@@ -207,11 +219,21 @@ def criterion_7() -> CriterionResult:
     )
 
 
-def criterion_8(quick: bool = False) -> CriterionResult:
+def criterion_8(
+    quick: bool = False, budget: SearchBudget | None = None
+) -> CriterionResult:
     title = "K3-saturated, min degree 2: all are J; deficit table; min 2n-5"
     max_n = 7 if quick else 8
     checked = 0
     for n in range(5, max_n + 1):
+        if _out_of_time(budget):
+            return CriterionResult(
+                8,
+                title,
+                False,
+                f"time budget ran out before the scan at n={n}",
+                inconclusive=True,
+            )
         scan = oracle.scan_k3_saturated(n, 2)
         if not scan:
             return CriterionResult(8, title, False, f"no graphs found at n={n}")
@@ -375,8 +397,8 @@ def run_all(
         criterion_4(budget),
         criterion_5(quick),
         criterion_6(quick, budget),
-        criterion_7(),
-        criterion_8(quick),
+        criterion_7(budget),
+        criterion_8(quick, budget),
         criterion_9(),
         criterion_10(quick, budget),
     ]

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, output determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -240,5 +241,17 @@ def test_verify_paper_budget_bounds_the_whole_command(capsys, monkeypatch):
     monkeypatch.setattr(_Engine, "run", counted)
     code, out, _ = run(capsys, ["verify-paper", "--quick", "--max-nodes", "20"])
     assert code == 3
-    assert out.splitlines()[-1] == "6/10 criteria passed, 4 inconclusive"
+    assert out.splitlines()[-1] == "8/10 criteria passed, 2 inconclusive"
     assert sum(spent) <= 20
+
+
+def test_verify_paper_deadline_bounds_the_oracle_scans(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify-paper", "--max-seconds", "0"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "FAIL" not in out
+    assert out.splitlines()[-1] == "3/10 criteria passed, 7 inconclusive"
+    passed = [line[1:3].strip() for line in out.splitlines() if "] PASS " in line]
+    assert passed == ["1", "5", "9"]
+    assert elapsed < 3.0

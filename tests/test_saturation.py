@@ -135,14 +135,12 @@ def test_is_rmin_saturated_complete_below_ramsey():
 
 def test_is_rmin_saturated_budget_inconclusive(monkeypatch):
     g = build(ConstructionSpec.general(5, 20)).graph
-    rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=1))
-    assert rep.status == INCONCLUSIVE
-    # the enumeration of G's bad colorings decides general(5,20) in 8 nodes
-    assert is_rmin_saturated(g, 5, SearchBudget(max_nodes=8)).status == SATURATED
-    rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=7))
+    # the enumeration of G's bad colorings decides general(5,20) in 1 node
+    assert is_rmin_saturated(g, 5, SearchBudget(max_nodes=1)).status == SATURATED
+    rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=0))
     assert rep.status == INCONCLUSIVE
     assert rep.reason == (
-        "enumeration of G's bad colorings exhausted its budget after 7 nodes"
+        "enumeration of G's bad colorings exhausted its budget after 0 nodes"
     )
     # per-non-edge fallback: no single search needs 20 nodes, all together do
     monkeypatch.setattr(search, "EXTEND_CAP", 1)

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from ramsat.colorings import TwoColoring, forced_blue_edges, is_bad_coloring
+from ramsat.colorings import (
+    BLUE,
+    RED,
+    TwoColoring,
+    forced_blue_edges,
+    is_bad_coloring,
+)
 from ramsat.graphs import (
     Graph,
     GraphError,
@@ -21,7 +27,9 @@ from ramsat.search import (
     FOUND,
     NONE,
     OK,
+    UNASSIGNED,
     SearchBudget,
+    _Engine,
     count_bad_colorings,
     find_bad_coloring,
     find_max_red_bad_coloring,
@@ -208,3 +216,75 @@ def test_stats_are_populated():
     assert res.stats.nodes >= 0
     assert res.stats.propagations > 0
     assert res.stats.wall_time >= 0.0
+
+
+def test_oversized_blue_merge_forces_red():
+    # a-b and c-d blue at k = 4: b-c would make a blue component of 4
+    # vertices, so it is forced red, and with b-w red the triangle b, c, w
+    # then forces c-w blue
+    a, b, c, d, w = range(5)
+    g = Graph(5, [(a, b), (c, d), (b, c), (b, w), (c, w)])
+    engine = _Engine(g, 4, None)
+    assert engine._assign(g.edge_index(b, w), RED)
+    assert engine._assign(g.edge_index(a, b), BLUE)
+    assert engine.color[g.edge_index(b, c)] == UNASSIGNED
+    assert engine._assign(g.edge_index(c, d), BLUE)
+    assert engine.color[g.edge_index(b, c)] == RED
+    assert engine.color[g.edge_index(c, w)] == BLUE
+    assert engine.stats.propagations == 2
+    assert engine.stats.nodes == 0
+
+
+def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
+    assign = _Engine._assign
+    checked = []
+
+    def assign_to_fixpoint(self, e, c):
+        ok = assign(self, e, c)
+        if ok:
+            roots = [v for v in range(self.g.n) if self.parent[v] == v]
+            sizes = [self.size[r] for r in roots]
+            assert self.by_size == [sizes.count(t) for t in range(self.k + 1)]
+            for f in range(self.m):
+                if self.color[f] == UNASSIGNED:
+                    ru = self._find(self.eu[f])
+                    rv = self._find(self.ev[f])
+                    assert ru == rv or self.size[ru] + self.size[rv] < self.k
+            checked.append(e)
+        return ok
+
+    monkeypatch.setattr(_Engine, "_assign", assign_to_fixpoint)
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(5, 11)
+        g = random_graph(rng, n, 3 * n)
+        k = rng.randint(3, 6)
+        find_bad_coloring(g, k)
+        count_bad_colorings(g, k, cap=50)
+        find_max_red_bad_coloring(g, k)
+    assert len(checked) > 1000
+
+
+def test_undo_to_root_restores_the_union_find():
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(4, 12)
+        g = random_graph(rng, n, 3 * n)
+        engine = _Engine(g, rng.randint(3, 6), None)
+        root = engine._mark()
+        initial = (
+            list(engine.by_size),
+            list(engine.parent),
+            list(engine.size),
+            [list(ms) for ms in engine.members],
+        )
+        for e in rng.sample(range(g.m), g.m):
+            mark = engine._mark()
+            if not engine._assign(e, rng.choice((RED, BLUE))):
+                engine._undo_to(mark)
+        engine._undo_to(root)
+        assert engine.by_size == initial[0]
+        assert engine.parent == initial[1]
+        assert engine.size == initial[2]
+        assert engine.members == initial[3]
+        assert engine.color == [UNASSIGNED] * g.m
