@@ -23,14 +23,12 @@ from .constructions import (
 )
 from .graphs import (
     ComponentPartition,
-    EdgeRef,
     Graph,
     Graph6Error,
     GraphError,
     from_graph6,
 )
 from .oracle import (
-    brute_force_bad_coloring,
     compute_sat,
     enumerate_graphs,
     family_ramsey_number,

@@ -280,10 +280,25 @@ def _cmd_verify_paper(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _at_least_zero(convert):
+    """argparse type: ``convert``, then reject values below 0 and NaN."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # keeps "invalid int value" messages
+    return parse
+
+
 def _add_budget_args(p) -> None:
     default = SearchBudget()
-    p.add_argument("--max-nodes", type=int, default=default.max_nodes)
-    p.add_argument("--max-seconds", type=float, default=default.max_seconds)
+    p.add_argument("--max-nodes", type=_at_least_zero(int), default=default.max_nodes)
+    p.add_argument(
+        "--max-seconds", type=_at_least_zero(float), default=default.max_seconds
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .graphs import EdgeRef, Graph, GraphError, bits
+from .graphs import Graph, GraphError, bits
 
 RED = 0
 BLUE = 1
@@ -40,10 +40,6 @@ class TwoColoring:
             colors[g.edge_index(u, v)] = BLUE
         return cls(colors)
 
-    @classmethod
-    def all_red(cls, g: Graph) -> "TwoColoring":
-        return cls([RED] * g.m)
-
     def __len__(self) -> int:
         return len(self.colors)
 
@@ -58,9 +54,6 @@ class TwoColoring:
     def __repr__(self) -> str:
         return "TwoColoring(%s)" % "".join("rb"[c] for c in self.colors)
 
-    def is_red(self, index: int) -> bool:
-        return self.colors[index] == RED
-
     def is_blue(self, index: int) -> bool:
         return self.colors[index] == BLUE
 
@@ -73,10 +66,6 @@ class TwoColoring:
     @property
     def red_count(self) -> int:
         return len(self.colors) - sum(self.colors)
-
-    @property
-    def blue_count(self) -> int:
-        return sum(self.colors)
 
     def red_graph(self, g: Graph) -> Graph:
         """Spanning subgraph carrying the red edges."""
@@ -93,14 +82,6 @@ class TwoColoring:
             raise GraphError(
                 f"coloring has {len(self.colors)} entries but graph has {g.m} edges"
             )
-
-    def as_mask(self) -> int:
-        """Bitmask with bit i set when edge i is red (CNF/oracle convention)."""
-        mask = 0
-        for i, c in enumerate(self.colors):
-            if c == RED:
-                mask |= 1 << i
-        return mask
 
     @classmethod
     def from_mask(cls, m: int, mask: int) -> "TwoColoring":
@@ -159,13 +140,10 @@ class BadColoringCertificate:
 
     coloring: TwoColoring
     blue_component_sizes: tuple[int, ...]
-    red_triangle_free: bool = True
 
     def verify(self, g: Graph, k: int) -> bool:
-        return (
-            self.red_triangle_free
-            and is_bad_coloring(g, k, self.coloring)
-            and self.blue_component_sizes == blue_component_sizes(g, self.coloring)
+        return is_bad_coloring(g, k, self.coloring) and (
+            self.blue_component_sizes == blue_component_sizes(g, self.coloring)
         )
 
     def as_dict(self, g: Graph) -> dict:
@@ -173,7 +151,7 @@ class BadColoringCertificate:
             "edges": self.coloring.as_edge_list(g),
             "blue_component_sizes": list(self.blue_component_sizes),
             "red_edge_count": self.coloring.red_count,
-            "red_triangle_free": self.red_triangle_free,
+            "red_triangle_free": True,
         }
 
 
@@ -187,7 +165,7 @@ def make_certificate(g: Graph, k: int, coloring: TwoColoring) -> BadColoringCert
 class ForcedBlueResult(NamedTuple):
     """Edges blue in every bad coloring, via the triangle-count threshold."""
 
-    edges: tuple[EdgeRef, ...]
+    edges: tuple[int, ...]
     applicable: bool
 
 
@@ -203,7 +181,7 @@ def forced_blue_edges(g: Graph, k: int) -> ForcedBlueResult:
         return ForcedBlueResult((), False)
     threshold = 2 * k - 3
     forced = tuple(
-        EdgeRef(i, u, v)
+        i
         for i, (u, v) in enumerate(g.edges)
         if g.common_neighbor_count(u, v) >= threshold
     )
@@ -221,39 +199,29 @@ def enumerate_subtrees(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for subset in combinations(range(g.n), k):
         inside = sum(1 << v for v in subset)
-        # edges (u, v), u < v, within the subset in index order
-        local = [
-            g.edge_index(u, v)
+        # edge index -> endpoint mask of the edges (u, v), u < v, within the
+        # subset, in index order
+        local = {
+            g.edge_index(u, v): (1 << u) | (1 << v)
             for u in subset
             for v in bits(g.adj[u] & inside & ~((2 << u) - 1))
-        ]
+        }
         if len(local) < k - 1:
             continue
+        # k-1 edges on k vertices form a tree iff they reach all k
         for pick in combinations(local, k - 1):
-            if _spans_as_tree(g, pick, subset):
+            reached = 1 << subset[0]
+            grown = True
+            while grown:
+                grown = False
+                for i in pick:
+                    ends = local[i]
+                    if ends & reached and ends & ~reached:
+                        reached |= ends
+                        grown = True
+            if reached == inside:
                 out.append(pick)
     return tuple(out)
-
-
-def _spans_as_tree(g: Graph, edge_indices, subset) -> bool:
-    # k-1 edges on k vertices form a tree iff they touch all k and connect them
-    parent = {v: v for v in subset}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    merges = 0
-    for i in edge_indices:
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        merges += 1
-    return merges == len(subset) - 1
 
 
 def export_cnf(g: Graph, k: int) -> str:

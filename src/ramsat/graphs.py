@@ -15,7 +15,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "Graph6Error",
-    "EdgeRef",
     "ComponentPartition",
     "complete",
     "empty",
@@ -41,14 +40,6 @@ class Graph6Error(GraphError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class EdgeRef(NamedTuple):
-    """An edge identified by index and ordered endpoints (u < v)."""
-
-    index: int
-    u: int
-    v: int
 
 
 class ComponentPartition(NamedTuple):
@@ -123,12 +114,6 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.adj[v])
 
-    def edge_ref(self, index: int) -> EdgeRef:
-        if not 0 <= index < self.m:
-            raise GraphError(f"edge index {index} out of range (m={self.m})")
-        u, v = self.edges[index]
-        return EdgeRef(index, u, v)
-
     def edge_index(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
@@ -166,14 +151,6 @@ class Graph:
 
     def common_neighbor_count(self, u: int, v: int) -> int:
         return (self.adj[u] & self.adj[v]).bit_count()
-
-    def triangles_through_edge(self, e: EdgeRef | int) -> int:
-        """Number of triangles containing the edge: |N(u) & N(v)|."""
-        index = e.index if isinstance(e, EdgeRef) else e
-        ref = self.edge_ref(index)
-        if isinstance(e, EdgeRef) and (e.u, e.v) != (ref.u, ref.v):
-            raise GraphError(f"edge ref {e} does not belong to this graph")
-        return self.common_neighbor_count(ref.u, ref.v)
 
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """All triangles as vertex triples u < v < w."""
@@ -495,13 +472,6 @@ def from_graph6(line: str) -> Graph:
     if "1" in bitstr[nbits:]:
         raise Graph6Error("nonzero padding bits", len(text) - 1)
     return Graph(n, edges)
-
-
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode an iterable of graph6 lines, skipping blank ones."""
-    for line in lines:
-        if line.strip():
-            yield from_graph6(line)
 
 
 # -- standard constructions -------------------------------------------------

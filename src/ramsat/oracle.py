@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,11 +55,6 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
             if key not in seen:
                 seen[key] = h
     return tuple(g for _, g in sorted(seen.items()))
-
-
-class BruteForceResult(NamedTuple):
-    exists: bool
-    count: int
 
 
 # red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1
@@ -104,12 +98,6 @@ def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
     return np.flatnonzero(bits).astype(np.uint32)
 
 
-def brute_force_bad_coloring(g: Graph, k: int) -> BruteForceResult:
-    """Authoritative existence and exact count by scanning all 2^m colorings."""
-    good = brute_force_bad_colorings(g, k)
-    return BruteForceResult(len(good) > 0, int(len(good)))
-
-
 @dataclass(frozen=True)
 class SatResult:
     """Minimum edge count over all saturated graphs on n vertices."""
@@ -117,16 +105,15 @@ class SatResult:
     n: int
     k: int
     min_edges: int | None
-    extremal: tuple[bytes, ...]  # canonical forms achieving the minimum
-    extremal_graph6: tuple[str, ...]
+    extremal_graph6: tuple[str, ...]  # in canonical-form order
     graphs_scanned: int
 
 
 def _oracle_rmin_saturated(g: Graph, k: int) -> bool:
-    if not brute_force_bad_coloring(g, k).exists:
+    if len(brute_force_bad_colorings(g, k)) == 0:
         return False
     for u, v in g.non_edges():
-        if brute_force_bad_coloring(g.with_edge(u, v), k).exists:
+        if len(brute_force_bad_colorings(g.with_edge(u, v), k)) > 0:
             return False
     return True
 
@@ -140,25 +127,17 @@ def compute_sat(n: int, k: int) -> SatResult:
         raise GraphError(f"k must be >= 2, got {k}")
     scanned = 0
     best: int | None = None
-    extremal: list[tuple[bytes, str]] = []
+    extremal: list[str] = []
     for g in enumerate_graphs(n):
         scanned += 1
         if not _oracle_rmin_saturated(g, k):
             continue
         if best is None or g.m < best:
             best = g.m
-            extremal = [(g.canonical_form(), g.to_graph6())]
+            extremal = [g.to_graph6()]
         elif g.m == best:
-            extremal.append((g.canonical_form(), g.to_graph6()))
-    extremal.sort()
-    return SatResult(
-        n,
-        k,
-        best,
-        tuple(form for form, _ in extremal),
-        tuple(g6 for _, g6 in extremal),
-        scanned,
-    )
+            extremal.append(g.to_graph6())
+    return SatResult(n, k, best, tuple(extremal), scanned)
 
 
 def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
@@ -178,7 +157,7 @@ def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
     while True:
         g = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
         if g.m <= MAX_SCAN_EDGES:
-            exists = brute_force_bad_coloring(g, k).exists
+            exists = len(brute_force_bad_colorings(g, k)) > 0
         else:
             res = search.find_bad_coloring(g, k, budget)
             if res.status == EXHAUSTED:
@@ -194,9 +173,11 @@ def scan_k3_saturated(n: int, delta: int) -> tuple[tuple[Graph, int], ...]:
     sorted by edge count (canonical form breaks ties)."""
     if n > MAX_ENUM_N:
         raise GraphError(f"scan caps at n <= {MAX_ENUM_N}, got {n}")
-    found = []
-    for g in enumerate_graphs(n):
-        if g.min_degree() == delta and is_kt_saturated(g, 3):
-            found.append((g.m, g.canonical_form(), g))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return tuple((g, m) for m, _, g in found)
+    found = [
+        (g, g.m)
+        for g in enumerate_graphs(n)
+        if g.min_degree() == delta and is_kt_saturated(g, 3)
+    ]
+    # stable: enumerate_graphs lists the classes in canonical-form order
+    found.sort(key=lambda item: item[1])
+    return tuple(found)

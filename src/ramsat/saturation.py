@@ -332,15 +332,6 @@ class CertificateStructureReport:
     max_red_degree_ok: bool | None = None
     red_two_connected_ok: bool | None = None
 
-    def all_evaluated_pass(self) -> bool:
-        clauses = (
-            self.small_count_ok,
-            self.red_complete_ok,
-            self.max_red_degree_ok,
-            self.red_two_connected_ok,
-        )
-        return all(c is not False for c in clauses)
-
 
 def check_certificate_structure(
     g: Graph,

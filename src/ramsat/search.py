@@ -7,9 +7,7 @@ State is a partial edge assignment plus two incremental structures:
 * a union-find over blue edges with size tracking and rollback — a blue
   assignment that would grow a component to k vertices is a conflict, and
   after every union each unassigned edge between the new component and a
-  component with k or more vertices together with it is forced red. A
-  count of components per size skips that scan when no component is
-  large enough to force anything.
+  component with k or more vertices together with it is forced red.
 
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
@@ -153,9 +151,6 @@ class _Engine:
         self.parent = list(range(g.n))
         self.size = [1] * g.n
         self.members: list[list[int]] = [[v] for v in range(g.n)]
-        # by_size[t]: number of blue components with t vertices (t < k)
-        self.by_size = [0] * (k + 1)
-        self.by_size[1] = g.n
         self.color_trail: list[int] = []
         self.union_trail: list[tuple[int, int]] = []
         self.red_count = 0
@@ -233,21 +228,15 @@ class _Engine:
                     self.size[ru] = s
                     self.members[ru].extend(self.members[rv])
                     self.union_trail.append((rv, ru))
-                    by_size = self.by_size
-                    by_size[su] -= 1
-                    by_size[sv] -= 1
-                    by_size[s] += 1
-                    # edges to a component with >= need vertices must be
-                    # red; scan only when some other component has them
+                    # edges to a component with >= k - s vertices must be red
                     need = k - s
-                    if need <= 1 or sum(by_size[need:]) > (s >= need):
-                        for x in self.members[ru]:
-                            for f, y in self.inc[x]:
-                                if color[f] == UNASSIGNED:
-                                    ry = self._find(y)
-                                    if ry != ru and self.size[ry] >= need:
-                                        stack.append((f, RED))
-                                        self.stats.propagations += 1
+                    for x in self.members[ru]:
+                        for f, y in self.inc[x]:
+                            if color[f] == UNASSIGNED:
+                                ry = self._find(y)
+                                if ry != ru and self.size[ry] >= need:
+                                    stack.append((f, RED))
+                                    self.stats.propagations += 1
         return True
 
     def _mark(self) -> tuple[int, int]:
@@ -259,16 +248,11 @@ class _Engine:
         parent = self.parent
         size = self.size
         members = self.members
-        by_size = self.by_size
         while len(union_trail) > ut:
             small, big = union_trail.pop()
             parent[small] = small
             ssz = size[small]
-            s = size[big]
-            size[big] = s - ssz
-            by_size[s] -= 1
-            by_size[ssz] += 1
-            by_size[s - ssz] += 1
+            size[big] -= ssz
             del members[big][-ssz:]
         color_trail = self.color_trail
         color = self.color
@@ -300,9 +284,8 @@ class _Engine:
         return i
 
     def _presolve(self) -> bool:
-        forced = forced_blue_edges(self.g, self.k)
-        for ref in forced.edges:
-            if not self._assign(ref.index, BLUE):
+        for e in forced_blue_edges(self.g, self.k).edges:
+            if not self._assign(e, BLUE):
                 return False
         return True
 

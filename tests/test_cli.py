@@ -138,7 +138,7 @@ def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_fil
         capsys, ["check", "saturated", geven18_file, "--k", "4", "--max-nodes", "4"]
     )
     assert code == 0
-    for budget in (["--max-nodes", "3"], ["--max-seconds", "0"]):
+    for budget in (["--max-nodes", "3"], ["--max-nodes", "0"], ["--max-seconds", "0"]):
         code, out, _ = run(
             capsys, ["check", "saturated", geven18_file, "--k", "4"] + budget
         )
@@ -151,6 +151,22 @@ def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_fil
         capsys, ["check", "saturated", geven18_file, "--k", "4", "--max-nodes", "10"]
     )
     assert code == 3 and "inconclusive" in out
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "saturated", "GEVEN18", "--k", "4"], ["verify-paper"]]
+)
+@pytest.mark.parametrize(
+    "budget",
+    [["--max-nodes", "-1"], ["--max-seconds", "-5"], ["--max-seconds", "nan"]],
+)
+def test_negative_or_nan_budget_is_a_usage_error(capsys, geven18_file, command, budget):
+    # a NaN deadline never passes, and a negative budget would read as spent
+    argv = [geven18_file if a == "GEVEN18" else a for a in command] + budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{budget[0]}: must be >= 0, got '{budget[1]}'" in capsys.readouterr().err
 
 
 def test_crash_is_not_a_verdict(capsys, monkeypatch, geven18_file):

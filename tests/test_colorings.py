@@ -1,7 +1,10 @@
 """Colorings, the bad-coloring predicate, forced-blue edges, CNF export."""
 
+import hashlib
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from ramsat.colorings import (
@@ -26,7 +29,7 @@ def test_two_coloring_basics():
     c = TwoColoring([RED, BLUE])
     assert c.red_edge_indices() == (0,)
     assert c.blue_edge_indices() == (1,)
-    assert c.red_count == 1 and c.blue_count == 1
+    assert c.red_count == 1
     assert c.red_graph(g).edges == ((0, 1),)
     assert c.blue_graph(g).edges == ((1, 2),)
     assert TwoColoring.from_blue_edges(g, [(2, 1)]) == c
@@ -40,12 +43,12 @@ def test_two_coloring_basics():
 
 def test_mask_round_trip():
     c = TwoColoring([RED, BLUE, BLUE, RED])
-    assert TwoColoring.from_mask(4, c.as_mask()) == c
+    assert TwoColoring.from_mask(4, 0b1001) == c  # bit i set: edge i red
 
 
 def test_is_bad_coloring_examples():
     k3 = complete(3)
-    assert not is_bad_coloring(k3, 3, TwoColoring.all_red(k3))  # red triangle
+    assert not is_bad_coloring(k3, 3, TwoColoring([RED] * k3.m))  # red triangle
     one_blue = TwoColoring([BLUE, RED, RED])
     assert is_bad_coloring(k3, 3, one_blue)
     geven = build(ConstructionSpec.geven(18))
@@ -64,12 +67,12 @@ def test_blue_component_sizes():
     g = cycle(5)
     c = TwoColoring.from_blue_edges(g, [(0, 1), (1, 2)])
     assert blue_component_sizes(g, c) == (3, 1, 1)
-    assert blue_component_sizes(g, TwoColoring.all_red(g)) == (1,) * 5
+    assert blue_component_sizes(g, TwoColoring([RED] * g.m)) == (1,) * 5
 
 
 def test_certificate_verification():
     g = star(6)
-    c = TwoColoring.all_red(g)
+    c = TwoColoring([RED] * g.m)
     cert = make_certificate(g, 4, c)
     assert cert.verify(g, 4)
     assert cert.blue_component_sizes == (1,) * 6
@@ -77,7 +80,7 @@ def test_certificate_verification():
     fake = BadColoringCertificate(c, (6,))
     assert not fake.verify(g, 4)
     with pytest.raises(GraphError):
-        make_certificate(complete(3), 3, TwoColoring.all_red(complete(3)))
+        make_certificate(complete(3), 3, TwoColoring([RED] * 3))
 
 
 def test_forced_blue_edges_geven():
@@ -85,7 +88,7 @@ def test_forced_blue_edges_geven():
     res = forced_blue_edges(b.graph, 4)
     assert res.applicable
     y1, y2 = b.roles["y1"][0], b.roles["y2"][0]
-    forced_pairs = {(r.u, r.v) for r in res.edges}
+    forced_pairs = {b.graph.edges[e] for e in res.edges}
     assert (y1, y2) in forced_pairs
     assert b.graph.common_neighbor_count(y1, y2) >= 5  # 2k-3 at k=4
 
@@ -93,7 +96,7 @@ def test_forced_blue_edges_geven():
 def test_forced_blue_edges_general():
     b = build(ConstructionSpec.general(5, 20))
     res = forced_blue_edges(b.graph, 5)
-    forced_pairs = {(r.u, r.v) for r in res.edges}
+    forced_pairs = {b.graph.edges[e] for e in res.edges}
     for block in (b.roles["H1"], b.roles["H2"]):
         for i, u in enumerate(block):
             for v in block[i + 1 :]:
@@ -113,6 +116,53 @@ def test_enumerate_subtrees():
     assert len(enumerate_subtrees(path(4), 2)) == 3  # single edges
     # K4 on 4 vertices: 16 spanning trees (Cayley)
     assert len(enumerate_subtrees(complete(4), 4)) == 16
+
+
+def reference_subtrees(g, k):
+    """Every (k-1)-subset of each k-subset's induced edges, in combinations
+    order, that networkx accepts as a tree."""
+    out = []
+    for subset in combinations(range(g.n), k):
+        induced = [i for i, (u, v) in enumerate(g.edges) if u in subset and v in subset]
+        for pick in combinations(induced, k - 1):
+            h = nx.Graph()
+            h.add_nodes_from(subset)
+            h.add_edges_from(g.edges[i] for i in pick)
+            if nx.is_tree(h):
+                out.append(pick)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_enumerate_subtrees_matches_reference(k):
+    # the full tuple, order included: export_cnf writes one clause per entry
+    rng = random.Random(600 + k)
+    for _ in range(8):
+        n = rng.randint(k, 8)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(n - 1, min(len(pairs), 16))))
+        assert enumerate_subtrees(g, k) == reference_subtrees(g, k)
+
+
+@pytest.mark.parametrize(
+    "spec, k, digest",
+    [
+        (
+            ConstructionSpec.geven(18),
+            4,
+            "a41306ae2ca0cd881f6336dda246cabdd53ba82f70f05deed09d76ebad7af0d1",
+        ),
+        (
+            ConstructionSpec.general(5, 20),
+            5,
+            "68babb379a7edbadb1ea0c9dd10233311bbc97f443a0718ff190c68970024104",
+        ),
+    ],
+    ids=["geven18-k4", "general5_20-k5"],
+)
+def test_export_cnf_digest(spec, k, digest):
+    text = export_cnf(build(spec).graph, k)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_export_cnf_structure():

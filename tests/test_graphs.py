@@ -10,7 +10,6 @@ from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
     CANONICAL_MAX_N,
     ComponentPartition,
-    EdgeRef,
     Graph,
     Graph6Error,
     GraphError,
@@ -22,7 +21,6 @@ from ramsat.graphs import (
     from_graph6,
     path,
     petersen,
-    read_graph6_lines,
     star,
 )
 
@@ -50,7 +48,6 @@ def test_basic_invariants():
     # edge index <-> endpoint bijection, stable across calls
     for i, (u, v) in enumerate(g.edges):
         assert g.edge_index(u, v) == i
-        assert g.edge_ref(i) == EdgeRef(i, u, v)
     assert g.edges == Graph(5, g.edges).edges
 
 
@@ -63,8 +60,6 @@ def test_validation_errors():
         Graph(3, [(1, 1)])
     with pytest.raises(GraphError):
         Graph(3, [(0, 1)]).edge_index(0, 2)
-    with pytest.raises(GraphError):
-        Graph(3, [(0, 1)]).edge_ref(5)
     with pytest.raises(GraphError):
         cycle(2)
 
@@ -91,23 +86,22 @@ def test_with_without_edge():
 
 def test_triangles_through_edge_examples():
     k4 = complete(4)
-    for i in range(k4.m):
-        assert k4.triangles_through_edge(i) == 2
+    for u, v in k4.edges:
+        assert k4.common_neighbor_count(u, v) == 2
     p = petersen()
-    for i in range(p.m):
-        assert p.triangles_through_edge(i) == 0  # girth 5
+    for u, v in p.edges:
+        assert p.common_neighbor_count(u, v) == 0  # girth 5
     gen = build(ConstructionSpec.general(5, 20))
     h1 = gen.roles["H1"]
-    e = gen.graph.edge_index(h1[0], h1[1])
-    assert gen.graph.triangles_through_edge(e) == 7  # 2k-3 at k=5
+    assert gen.graph.common_neighbor_count(h1[0], h1[1]) == 7  # 2k-3 at k=5
 
 
 def test_triangles_against_naive_loop():
     rng = random.Random(42)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8))
-        for i, (u, v) in enumerate(g.edges):
-            assert g.triangles_through_edge(i) == naive_triangles_through(g, u, v)
+        for u, v in g.edges:
+            assert g.common_neighbor_count(u, v) == naive_triangles_through(g, u, v)
         # triangle lists agree with a brute triple loop
         naive = {
             (u, v, w)
@@ -255,12 +249,6 @@ def test_graph6_round_trip_catalog():
     for spec in specs:
         g = build(spec).graph
         assert from_graph6(g.to_graph6()) == g
-
-
-def test_read_graph6_lines_round_trip():
-    originals = [cycle(5), star(7), complete(4)]
-    lines = [g.to_graph6() for g in originals] + [""]
-    assert list(read_graph6_lines(lines)) == originals
 
 
 def test_graph6_matches_networkx():

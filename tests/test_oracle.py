@@ -16,8 +16,6 @@ from ramsat.graphs import (
     star,
 )
 from ramsat.oracle import (
-    BruteForceResult,
-    brute_force_bad_coloring,
     brute_force_bad_colorings,
     compute_sat,
     enumerate_graphs,
@@ -50,12 +48,12 @@ def test_enumerate_cap():
 
 
 def test_brute_force_examples():
-    assert brute_force_bad_coloring(complete(3), 3) == BruteForceResult(True, 3)
-    assert brute_force_bad_coloring(complete(2), 3) == BruteForceResult(True, 2)
-    assert brute_force_bad_coloring(complete(7), 4) == BruteForceResult(False, 0)
-    assert brute_force_bad_coloring(Graph(4), 3) == BruteForceResult(True, 1)
+    assert len(brute_force_bad_colorings(complete(3), 3)) == 3
+    assert len(brute_force_bad_colorings(complete(2), 3)) == 2
+    assert len(brute_force_bad_colorings(complete(7), 4)) == 0
+    assert len(brute_force_bad_colorings(Graph(4), 3)) == 1
     with pytest.raises(GraphError):
-        brute_force_bad_coloring(complete(8), 4)  # m = 28 > 24
+        brute_force_bad_colorings(complete(8), 4)  # m = 28 > 24
 
 
 def test_brute_force_masks_reverify():
