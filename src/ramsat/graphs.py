@@ -149,6 +149,12 @@ class Graph:
 
     # -- structure --------------------------------------------------------
 
+    def are_twins(self, u: int, v: int) -> bool:
+        """True iff u and v agree off {u, v}, so that swapping them is an
+        automorphism."""
+        off = ~(1 << u | 1 << v)
+        return self.adj[u] & off == self.adj[v] & off
+
     def common_neighbor_count(self, u: int, v: int) -> int:
         return (self.adj[u] & self.adj[v]).bit_count()
 
@@ -269,62 +275,44 @@ class Graph:
         classes: list[list[int]] = [[] for _ in range(nclasses)]
         for v, c in enumerate(colors):
             classes[c].append(v)
-        class_of_pos: list[int] = []
-        for cid, cls in enumerate(classes):
-            class_of_pos.extend([cid] * len(cls))
+        # class_end[level]: first position past the class placed at level
+        class_end: list[int] = []
+        for cls in classes:
+            class_end.extend([len(class_end) + len(cls)] * len(cls))
 
         adj = self.adj
-        order = [0] * n
         cur = [0] * n
-        placed = [False] * n
         best: list[int] | None = None
 
-        def rec(level: int, tight: bool) -> bool:
+        # rest: (adjacency to the placed prefix, v) for each unplaced v, in
+        # class order, so the current class's candidates lead it
+        def rec(level: int, tight: bool, rest: list[tuple[int, int]]) -> bool:
             nonlocal best
             if level == n:
                 best = cur[:level]
                 return True
-            items = []
-            for v in classes[class_of_pos[level]]:
-                if placed[v]:
-                    continue
-                chunk = 0
-                av = adj[v]
-                for i in range(level):
-                    chunk = (chunk << 1) | (av >> order[i] & 1)
-                items.append((chunk, v))
-            items.sort()
+            items = sorted(rest[: class_end[level] - level])
             updated = False
             tried: list[tuple[int, int]] = []
             for chunk, v in items:
                 if best is not None and tight and chunk > best[level]:
                     break
-                # skip v when a tried twin u gives an isomorphic continuation:
-                # (u v) is an automorphism iff their neighborhoods agree off {u, v}
-                skip = False
-                for tchunk, u in tried:
-                    if tchunk == chunk:
-                        mask = ~((1 << u) | (1 << v))
-                        if adj[u] & mask == adj[v] & mask:
-                            skip = True
-                            break
-                if skip:
+                # skip v when a tried twin u gives an isomorphic continuation
+                if any(tchunk == chunk and self.are_twins(u, v) for tchunk, u in tried):
                     continue
                 tried.append((chunk, v))
                 if best is None:
                     child_tight = True
                 else:
                     child_tight = tight and chunk == best[level]
-                placed[v] = True
-                order[level] = v
                 cur[level] = chunk
-                if rec(level + 1, child_tight):
+                child = [(c << 1 | (adj[u] >> v & 1), u) for c, u in rest if u != v]
+                if rec(level + 1, child_tight, child):
                     updated = True
                     tight = True  # best now extends the current prefix
-                placed[v] = False
             return updated
 
-        rec(0, True)
+        rec(0, True, [(0, v) for cls in classes for v in cls])
         assert best is not None
         acc = 0
         for level, chunk in enumerate(best):
@@ -382,19 +370,32 @@ class Graph:
 
 
 def _refinement_colors(g: Graph) -> list[int]:
-    """Stable neighbor-color refinement, canonically ranked at every round."""
+    """Stable neighbor-color refinement, canonically ranked at every round.
+
+    A vertex's key is its color, then one nibble per color class holding 15
+    minus its neighbor count in that class. Vertices of one color share a
+    degree, so the keys rank them as their sorted neighbor-color tuples
+    would: more neighbors in a lower class sorts first. Counts stay below
+    16 because n <= CANONICAL_MAX_N.
+    """
     colors = _rank(g.degrees())
     nclasses = len(set(colors))
     while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        new = _rank(sig)
-        if len(set(new)) == nclasses:
-            return new
-        colors = new
-        nclasses = len(set(colors))
+        masks = [0] * nclasses
+        for v, c in enumerate(colors):
+            masks[c] |= 1 << v
+        keys = []
+        for c, av in zip(colors, g.adj):
+            key = c
+            for mask in masks:
+                key = key << 4 | (15 - (av & mask).bit_count())
+            keys.append(key)
+        colors = _rank(keys)
+        count = len(set(colors))
+        # a discrete coloring cannot split further
+        if count == nclasses or count == g.n:
+            return colors
+        nclasses = count
 
 
 def _rank(keys) -> list[int]:

@@ -6,7 +6,8 @@ is bit ``x % 64`` of uint64 word ``x // 64``, so each edge's red variable
 is one word per 64 colorings and every triangle or k-vertex subtree clause
 is a handful of word-wide ANDs and ORs. It never consults the search
 engine, so engine results can be checked against it. Graph enumeration is
-orderly generation with canonical-form rejection, capped at 8 vertices;
+orderly generation with canonical-form rejection that skips extensions a
+twin swap of the parent maps to an earlier one, capped at 8 vertices;
 larger orders come in through external graph6 streams.
 """
 
@@ -46,7 +47,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     seen: dict[bytes, Graph] = {}
     for g in enumerate_graphs(n - 1):
         base_edges = g.edges
-        for subset in range(1 << (n - 1)):
+        for subset in _twin_ordered_subsets(g):
             edges = base_edges + tuple(
                 (u, n - 1) for u in range(n - 1) if subset >> u & 1
             )
@@ -55,6 +56,28 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
             if key not in seen:
                 seen[key] = h
     return tuple(g for _, g in sorted(seen.items()))
+
+
+def _twin_ordered_subsets(g: Graph) -> list[int]:
+    """Neighborhoods for a new vertex joined to g, ascending, that take the
+    lowest members of each twin class of g.
+
+    For twins u < v of g, a subset holding v but not u gives the same
+    class as the smaller subset with v swapped for u, which enumeration
+    reaches first; skipping it keeps every first representative.
+    """
+    # each vertex paired with the nearest lower twin it needs in the subset
+    needs = []
+    for v in range(1, g.n):
+        for u in range(v - 1, -1, -1):
+            if g.are_twins(u, v):
+                needs.append((1 << v, 1 << u))
+                break
+    return [
+        subset
+        for subset in range(1 << g.n)
+        if all(subset & u or not subset & v for v, u in needs)
+    ]
 
 
 # red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1

@@ -199,21 +199,29 @@ def is_ramsey_minimal(
     """True iff g admits no bad coloring but every g-e does.
 
     Raises InconclusiveError when a sub-search exhausts the budget that
-    all of them draw on, a fresh default one when None.
+    all of them draw on, a fresh default one when None; its reason names
+    that sub-search and the nodes all of them drew.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     if budget is None:
         budget = SearchBudget()
+    start = budget.nodes_left
+
+    def exhausted(what: str) -> InconclusiveError:
+        return InconclusiveError(
+            f"{what} exhausted its budget after {start - budget.nodes_left} nodes"
+        )
+
     base = search.find_bad_coloring(g, k, budget)
     if base.status == EXHAUSTED:
-        raise InconclusiveError("base search exhausted its budget")
+        raise exhausted("base search")
     if base.status == FOUND:
         return False
     for u, v in g.edges:
         res = search.find_bad_coloring(g.without_edge(u, v), k, budget)
         if res.status == EXHAUSTED:
-            raise InconclusiveError(f"search on g - ({u},{v}) exhausted its budget")
+            raise exhausted(f"search on g - ({u},{v})")
         if res.status != FOUND:
             return False
     return True

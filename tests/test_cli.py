@@ -125,6 +125,30 @@ def test_check_minimal(capsys, tmp_path):
     assert code == 1 and "minimal: False" in out
 
 
+def test_check_minimal_names_the_nodes_used(capsys, tmp_path):
+    # at k = 4 this graph on 7 vertices arrows after 18 base nodes; every
+    # deletion then needs a search of its own
+    p = tmp_path / "arrowing.g6"
+    p.write_text("FFz~o\n")
+    argv = ["check", "minimal", str(p), "--k", "4"]
+    code, out, _ = run(capsys, argv + ["--max-nodes", "10"])
+    assert (code, out) == (
+        3,
+        "inconclusive: base search exhausted its budget after 10 nodes\n",
+    )
+    code, out, _ = run(capsys, argv + ["--max-nodes", "50", "--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {
+        "verdict": "inconclusive",
+        "reason": "search on g - (0,6) exhausted its budget after 50 nodes",
+    }
+    code, out, _ = run(capsys, argv + ["--max-seconds", "0"])
+    assert (code, out) == (
+        3,
+        "inconclusive: base search exhausted its budget after 0 nodes\n",
+    )
+
+
 def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_file):
     p = tmp_path / "k8.g6"
     p.write_text(complete(8).to_graph6() + "\n")

@@ -22,7 +22,10 @@ from ramsat.graphs import (
     path,
     petersen,
     star,
+    _rank,
+    _refinement_colors,
 )
+from ramsat.oracle import enumerate_graphs
 
 
 def random_graph(rng, n, max_m=None):
@@ -94,6 +97,18 @@ def test_triangles_through_edge_examples():
     gen = build(ConstructionSpec.general(5, 20))
     h1 = gen.roles["H1"]
     assert gen.graph.common_neighbor_count(h1[0], h1[1]) == 7  # 2k-3 at k=5
+
+
+def test_twins_are_exactly_the_automorphic_swaps():
+    rng = random.Random(23)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 8))
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                assert g.are_twins(u, v) == (g.relabeled(swap) == g)
+                assert g.are_twins(u, v) == g.are_twins(v, u)
 
 
 def test_triangles_against_naive_loop():
@@ -177,6 +192,36 @@ def test_is_2_connected():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8))
         assert g.is_2_connected() == brute_force_is_2_connected(g)
+
+
+def reference_refinement_colors(g):
+    """Neighbor-color refinement keyed by sorted neighbor-color tuples."""
+    colors = _rank(g.degrees())
+    nclasses = len(set(colors))
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+        new = _rank(sig)
+        if len(set(new)) == nclasses:
+            return new
+        colors = new
+        nclasses = len(set(colors))
+
+
+def test_refinement_colors_match_reference():
+    rng = random.Random(17)
+    samples = [complete(CANONICAL_MAX_N), star(CANONICAL_MAX_N), petersen()]
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            samples += [g, g.relabeled(perm)]
+    for _ in range(300):
+        samples.append(random_graph(rng, rng.randint(1, CANONICAL_MAX_N)))
+    for g in samples:
+        assert _refinement_colors(g) == reference_refinement_colors(g), g.to_graph6()
 
 
 def test_canonical_form_examples():

@@ -1,10 +1,12 @@
 """Enumeration oracle: class counts, full scans, sat values, Ramsey numbers."""
 
+import hashlib
 from math import comb
 
 import numpy as np
 import pytest
 
+from ramsat import oracle
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.graphs import (
     Graph,
@@ -40,6 +42,48 @@ def test_enumerate_unique_and_deterministic():
     assert len(set(forms)) == len(forms)
     assert forms == sorted(forms)
     assert enumerate_graphs(5) is enumerate_graphs(5)  # cached
+
+
+# SHA-256 of the lines "<graph6> <canonical form hex>" over enumerate_graphs(n):
+# the representatives, their forms and their order, pinned before class
+# enumeration learnt to skip twin-symmetric extensions
+ENUMERATION_DIGESTS = {
+    0: "4b9b3d5bd3b3623217f5f8d8a99fb0ba6c0a3c169ec393a0700f6bb2d18b72b6",
+    1: "20164d913fc29974c5758ae1f64e5ead560de0902a473a2613ef04b4c72b5df8",
+    2: "a5b2a87fb1b8d0b7ee769beb58f77551423ee5cef467daf0cd9520832732919d",
+    3: "7a07af140a7f14401872cd9aa3fc39356085940b898931ebc3167d8f403bbea4",
+    4: "cfaf0be2ab0bb389c7a85234fc009f7d6fe2189e142f98325b8d11d01bc7a103",
+    5: "30f5f7a11abc86ea8530bab670f72cb9f07af5c094ab03847cd1ae49a8595c7c",
+    6: "e9b90c3636572e394f67d55d46366b9586cc05619f6c11c27636aa98c920f9a4",
+    7: "3d769b935a7ce45216550bb54bdb5be097646659be3cc58c0b02863924b113a4",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(ENUMERATION_DIGESTS.items()))
+def test_enumerate_representatives_pinned(n, digest):
+    text = "\n".join(
+        f"{g.to_graph6()} {g.canonical_form().hex()}" for g in enumerate_graphs(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_enumerate_skips_twin_symmetric_extensions(monkeypatch):
+    # a cold enumerate_graphs(7) canonicalises 7,195 children, not all
+    # 11,291 one-vertex extensions; counting through the class attribute
+    # also keeps the calls visible to a wrapper installed there
+    calls = 0
+    form = Graph.canonical_form
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return form(self)
+
+    monkeypatch.setattr(Graph, "canonical_form", counted)
+    # recurse uncached, leaving the shared cache as the other tests left it
+    monkeypatch.setattr(oracle, "enumerate_graphs", enumerate_graphs.__wrapped__)
+    assert len(oracle.enumerate_graphs(7)) == 1044
+    assert calls == 7195
 
 
 def test_enumerate_cap():
