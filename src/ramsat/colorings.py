@@ -115,23 +115,31 @@ def blue_component_sizes(g: Graph, coloring: TwoColoring) -> tuple[int, ...]:
     return tuple(sorted(sizes.values(), reverse=True))
 
 
-def is_bad_coloring(g: Graph, k: int, coloring: TwoColoring) -> bool:
-    """True iff the red subgraph is triangle-free and every blue component
-    has at most k-1 vertices."""
+def _bad_coloring_sizes(
+    g: Graph, k: int, coloring: TwoColoring
+) -> tuple[int, ...] | None:
+    """The blue component sizes when the coloring is bad, else None."""
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     coloring._check(g)
+    red = coloring.red_edge_indices()
     radj = [0] * g.n
-    for i in coloring.red_edge_indices():
+    for i in red:
         u, v = g.edges[i]
         radj[u] |= 1 << v
         radj[v] |= 1 << u
-    for i in coloring.red_edge_indices():
+    for i in red:
         u, v = g.edges[i]
         if radj[u] & radj[v]:
-            return False
+            return None
     sizes = blue_component_sizes(g, coloring)
-    return not sizes or sizes[0] <= k - 1
+    return None if sizes and sizes[0] > k - 1 else sizes
+
+
+def is_bad_coloring(g: Graph, k: int, coloring: TwoColoring) -> bool:
+    """True iff the red subgraph is triangle-free and every blue component
+    has at most k-1 vertices."""
+    return _bad_coloring_sizes(g, k, coloring) is not None
 
 
 @dataclass(frozen=True)
@@ -142,9 +150,7 @@ class BadColoringCertificate:
     blue_component_sizes: tuple[int, ...]
 
     def verify(self, g: Graph, k: int) -> bool:
-        return is_bad_coloring(g, k, self.coloring) and (
-            self.blue_component_sizes == blue_component_sizes(g, self.coloring)
-        )
+        return _bad_coloring_sizes(g, k, self.coloring) == self.blue_component_sizes
 
     def as_dict(self, g: Graph) -> dict:
         return {
@@ -157,9 +163,10 @@ class BadColoringCertificate:
 
 def make_certificate(g: Graph, k: int, coloring: TwoColoring) -> BadColoringCertificate:
     """Build and verify a certificate for a known-bad coloring."""
-    if not is_bad_coloring(g, k, coloring):
+    sizes = _bad_coloring_sizes(g, k, coloring)
+    if sizes is None:
         raise GraphError("coloring is not bad; cannot certify")
-    return BadColoringCertificate(coloring, blue_component_sizes(g, coloring))
+    return BadColoringCertificate(coloring, sizes)
 
 
 class ForcedBlueResult(NamedTuple):

@@ -132,13 +132,15 @@ def is_rmin_saturated(
 
     A single surviving non-edge settles 'not saturated' even if other
     searches ran out of budget; 'inconclusive' is reported only when no
-    counterexample was found and some search was cut short. All searches
-    draw on ``budget``, a fresh default one when None.
+    counterexample was found and some search was cut short; its reason
+    names that search and how many nodes the whole check drew. All
+    searches draw on ``budget``, a fresh default one when None.
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     if budget is None:
         budget = SearchBudget()
+    start = budget.nodes_left
     ext = search.extend_bad_colorings(g, k, budget)
     exhausted = ""
     if ext.status == EXHAUSTED:
@@ -172,7 +174,10 @@ def is_rmin_saturated(
             if res.status == FOUND:
                 failures.append((pair, res.certificate))
             elif res.status == EXHAUSTED and not exhausted:
-                exhausted = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
+                exhausted = (
+                    f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
+                    f" after {start - budget.nodes_left} nodes"
+                )
     if failures:
         status = NOT_SATURATED
         reason = f"{len(failures)} non-edge(s) still admit a bad coloring"

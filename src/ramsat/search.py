@@ -12,6 +12,9 @@ State is a partial edge assignment plus two incremental structures:
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
 Presolve assigns the forced-blue edges (>= 2k-3 triangles) up front.
+Max-red prunes a node by branch and bound when every unassigned edge red,
+less one edge per triangle in a greedy packing of triangles that have no
+blue edge and share no unassigned edge, cannot beat the best coloring kept.
 One iterative driver serves find, count, max-red and the extension
 enumeration behind saturation, so search depth is bounded by memory, not
 by the interpreter's recursion limit.
@@ -348,19 +351,53 @@ class _Engine:
         self.capped = bool(still) and self.count >= EXTEND_CAP
         return not still or self.capped
 
+    def _cannot_beat_best(self) -> bool:
+        """True when no bad coloring below this node has more red edges
+        than the best one kept.
+
+        Every unassigned edge red is the first bound. Past it, a triangle
+        with no blue edge cannot end all red, so one of its unassigned
+        edges ends blue; greedily picked triangles that share no unassigned
+        edge each cost a distinct edge. At a propagation fixpoint such a
+        triangle has at most one red edge.
+        """
+        best = self.best_red
+        bound = self.red_count + self.m - len(self.color_trail)
+        if bound <= best:
+            return True
+        if best < 0:
+            return False
+        color = self.color
+        used = bytearray(self.m)
+        for a, b, c in self.tri_edges:
+            ca = color[a]
+            cb = color[b]
+            cc = color[c]
+            # RED 0, BLUE 1, UNASSIGNED -1: the sum is at most -2 exactly
+            # when no edge is blue and at least two are unassigned
+            if ca + cb + cc > -2 or used[a] or used[b] or used[c]:
+                continue
+            # red edges stay unmarked: a triangle may share one
+            used[a] = ca == UNASSIGNED
+            used[b] = cb == UNASSIGNED
+            used[c] = cc == UNASSIGNED
+            bound -= 1
+            if bound <= best:
+                return True
+        return False
+
     def _dfs(self, leaf, bound: bool) -> None:
         """Depth-first search over the static branch order.
 
         Each frame holds a branching edge, how many of its colors (red,
         then blue) were tried and the trail mark to undo to. With
-        ``bound``, a node that cannot beat the best red count so far (every
-        unassigned edge red at best) is pruned.
+        ``bound``, a node that cannot beat the best red count so far is
+        pruned (see ``_cannot_beat_best``).
         """
         stack: list[list] = []
         start = 0
         while True:
-            unassigned = self.m - len(self.color_trail)
-            if not (bound and self.red_count + unassigned <= self.best_red):
+            if not (bound and self._cannot_beat_best()):
                 i = self._next_unassigned(start)
                 if i == self.m:
                     if leaf():

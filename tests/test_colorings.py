@@ -83,6 +83,19 @@ def test_certificate_verification():
         make_certificate(complete(3), 3, TwoColoring([RED] * 3))
 
 
+def test_certificate_refuses_an_oversized_blue_component():
+    # red is triangle-free (empty); the only defect is a blue path on 4
+    # vertices, one more than k - 1 allows at k = 4
+    g = path(4)
+    all_blue = TwoColoring([BLUE] * g.m)
+    assert not is_bad_coloring(g, 4, all_blue)
+    with pytest.raises(GraphError):
+        make_certificate(g, 4, all_blue)
+    assert not BadColoringCertificate(all_blue, (4,)).verify(g, 4)
+    # at k = 5 the same component fits
+    assert make_certificate(g, 5, all_blue).blue_component_sizes == (4,)
+
+
 def test_forced_blue_edges_geven():
     b = build(ConstructionSpec.geven(18))
     res = forced_blue_edges(b.graph, 4)

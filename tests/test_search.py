@@ -119,6 +119,51 @@ def test_max_red_dominates_plain_find():
                 assert best.certificate.verify(g, k)
 
 
+def test_max_red_is_maximal_against_the_oracle():
+    """NONE exactly when the 2^m scan finds no bad coloring, else the
+    scan's maximum red count (seeded corpus, m <= 16)."""
+    rng = random.Random(20261018)
+    nones = 0
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(4, 8), 16)
+        for k in (3, 4, 5):
+            masks = brute_force_bad_colorings(g, k)
+            res = find_max_red_bad_coloring(g, k)
+            assert (res.status == NONE) == (len(masks) == 0)
+            if res.status == NONE:
+                nones += 1
+                continue
+            assert res.found and res.certificate.verify(g, k)
+            best = max(int(x).bit_count() for x in masks)
+            assert res.certificate.coloring.red_count == best
+    assert nones > 0
+
+
+def test_packing_bound_keeps_certificates_and_cuts_nodes(monkeypatch):
+    """The triangle-packing bound returns the same coloring as the bare
+    bound (every unassigned edge red), in no more nodes."""
+    rng = random.Random(16)
+    pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    draws = [Graph(16, rng.sample(pairs, 34)) for _ in range(12)]
+    shipped = [find_max_red_bad_coloring(g, 5) for g in draws]
+    monkeypatch.setattr(
+        _Engine,
+        "_cannot_beat_best",
+        lambda self: self.red_count + self.m - len(self.color_trail)
+        <= self.best_red,
+    )
+    bare = [find_max_red_bad_coloring(g, 5) for g in draws]
+    for new, old in zip(shipped, bare):
+        assert new.status == old.status == FOUND
+        assert new.certificate.coloring == old.certificate.coloring
+        assert (
+            new.certificate.blue_component_sizes
+            == old.certificate.blue_component_sizes
+        )
+        assert new.stats.nodes <= old.stats.nodes
+    assert (shipped[1].stats.nodes, bare[1].stats.nodes) == (53, 995)
+
+
 def test_budget_exhaustion_is_distinct():
     g = complete(8)
     res = find_bad_coloring(g, 5, SearchBudget(max_nodes=1))
