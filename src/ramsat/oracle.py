@@ -7,8 +7,9 @@ is one word per 64 colorings and every triangle or k-vertex subtree clause
 is a handful of word-wide ANDs and ORs. It never consults the search
 engine, so engine results can be checked against it. Graph enumeration is
 orderly generation with canonical-form rejection that skips extensions a
-twin swap of the parent maps to an earlier one, capped at 8 vertices;
-larger orders come in through external graph6 streams.
+twin swap of the parent maps to an earlier one, capped at 7 vertices for
+all graphs and at 10 for triangle-free ones; larger orders come in through
+external graph6 streams.
 """
 
 from __future__ import annotations
@@ -21,33 +22,50 @@ import numpy as np
 
 from . import search
 from .colorings import enumerate_subtrees
-from .graphs import Graph, GraphError
+from .graphs import CANONICAL_MAX_N, Graph, GraphError, bits
 from .saturation import is_kt_saturated
 from .search import EXHAUSTED, FOUND, InconclusiveError, SearchBudget
 
-MAX_ENUM_N = 8
+MAX_ENUM_N = 7
 MAX_SCAN_EDGES = 24
 MAX_SAT_N = 7
 MAX_RAMSEY_K = 5
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_graphs(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic graphs on n vertices, one representative per
-    class, sorted by canonical form."""
+def enumerate_graphs(n: int, *, triangle_free: bool = False) -> tuple[Graph, ...]:
+    """All non-isomorphic graphs on n vertices, or with ``triangle_free``
+    only the triangle-free ones, one representative per class, sorted by
+    canonical form.
+
+    A triangle-free class is first met, in either mode, as a triangle-free
+    parent joined to an independent set of it, so the triangle-free
+    representatives are exactly the triangle-free subsequence of the full
+    enumeration.
+    """
     if n < 0:
         raise GraphError(f"n must be >= 0, got {n}")
-    if n > MAX_ENUM_N:
+    cap = CANONICAL_MAX_N if triangle_free else MAX_ENUM_N
+    if n > cap:
         raise GraphError(
-            f"built-in enumeration caps at n <= {MAX_ENUM_N}; use an external"
+            f"built-in enumeration caps at n <= {cap}; use an external"
             " graph6 stream for larger orders"
         )
     if n == 0:
         return (Graph(0),)
+    # lru_cache keys f(n) and f(n, triangle_free=False) apart: recurse in
+    # the form callers use, so their calls and the recursion share entries
+    parents = (
+        enumerate_graphs(n - 1, triangle_free=True)
+        if triangle_free
+        else enumerate_graphs(n - 1)
+    )
     seen: dict[bytes, Graph] = {}
-    for g in enumerate_graphs(n - 1):
+    for g in parents:
         base_edges = g.edges
         for subset in _twin_ordered_subsets(g):
+            if triangle_free and any(g.adj[u] & subset for u in bits(subset)):
+                continue
             edges = base_edges + tuple(
                 (u, n - 1) for u in range(n - 1) if subset >> u & 1
             )
@@ -132,35 +150,34 @@ class SatResult:
     graphs_scanned: int
 
 
-def _oracle_rmin_saturated(g: Graph, k: int) -> bool:
-    if len(brute_force_bad_colorings(g, k)) == 0:
-        return False
-    for u, v in g.non_edges():
-        if len(brute_force_bad_colorings(g.with_edge(u, v), k)) > 0:
-            return False
-    return True
-
-
 def compute_sat(n: int, k: int) -> SatResult:
     """Exact saturation number at tiny n by scanning every isomorphism class
-    with the brute-force coloring oracle."""
+    with the brute-force coloring oracle.
+
+    Each class is scanned once; every G+uv is another class on n vertices,
+    looked up by canonical form.
+    """
     if not 0 <= n <= MAX_SAT_N:
         raise GraphError(f"compute_sat caps at n <= {MAX_SAT_N}, got {n}")
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    scanned = 0
+    classes = enumerate_graphs(n)
+    has_bad = {
+        g.canonical_form(): len(brute_force_bad_colorings(g, k)) > 0 for g in classes
+    }
     best: int | None = None
     extremal: list[str] = []
-    for g in enumerate_graphs(n):
-        scanned += 1
-        if not _oracle_rmin_saturated(g, k):
+    for g, bad in zip(classes, has_bad.values()):
+        if not bad or any(
+            has_bad[g.with_edge(u, v).canonical_form()] for u, v in g.non_edges()
+        ):
             continue
         if best is None or g.m < best:
             best = g.m
             extremal = [g.to_graph6()]
         elif g.m == best:
             extremal.append(g.to_graph6())
-    return SatResult(n, k, best, tuple(extremal), scanned)
+    return SatResult(n, k, best, tuple(extremal), len(classes))
 
 
 def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
@@ -193,12 +210,11 @@ def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
 
 def scan_k3_saturated(n: int, delta: int) -> tuple[tuple[Graph, int], ...]:
     """All K3-saturated graphs on n vertices with the given minimum degree,
-    sorted by edge count (canonical form breaks ties)."""
-    if n > MAX_ENUM_N:
-        raise GraphError(f"scan caps at n <= {MAX_ENUM_N}, got {n}")
+    sorted by edge count (canonical form breaks ties). Such graphs are
+    triangle-free, so only the triangle-free classes are filtered."""
     found = [
         (g, g.m)
-        for g in enumerate_graphs(n)
+        for g in enumerate_graphs(n, triangle_free=True)
         if g.min_degree() == delta and is_kt_saturated(g, 3)
     ]
     # stable: enumerate_graphs lists the classes in canonical-form order

@@ -60,7 +60,8 @@ def _checked(
 
 def _out_of_time(budget: SearchBudget | None) -> bool:
     """True once the deadline of ``budget`` has passed; the oracle scans
-    check it before they start, since no search inside them draws on it."""
+    check it before they start and before each graph's 2^m scan, since no
+    search inside them draws on it."""
     return budget is not None and time.perf_counter() >= budget.deadline
 
 
@@ -168,6 +169,14 @@ def criterion_6(
     for n in range(max_n + 1):
         for g in oracle.enumerate_graphs(n):
             for k in (3, 4, 5):
+                if _out_of_time(budget):
+                    return CriterionResult(
+                        6,
+                        title,
+                        False,
+                        f"time budget ran out during the scan at n={n}",
+                        inconclusive=True,
+                    )
                 want = len(oracle.brute_force_bad_colorings(g, k))
                 f = search.find_bad_coloring(g, k, budget)
                 c = search.count_bad_colorings(g, k, budget=budget)
@@ -337,6 +346,14 @@ def criterion_10(
             for k in (3, 4, 5):
                 if n < k + 2:
                     continue
+                if _out_of_time(budget):
+                    return CriterionResult(
+                        10,
+                        title,
+                        False,
+                        f"time budget ran out during the scan at n={n}",
+                        inconclusive=True,
+                    )
                 masks = oracle.brute_force_bad_colorings(g, k)
                 if len(masks) == 0:
                     continue

@@ -41,3 +41,11 @@ def test_every_traced_span_resolves():
 
 def test_enumerate_graphs_cache_clear_exists():
     assert callable(ramsat.oracle.enumerate_graphs.cache_clear)
+
+
+def test_enumerate_graphs_cache_clear_empties_both_modes():
+    # a cold operation must start from nothing, triangle-free classes too
+    enumerate_graphs = ramsat.oracle.enumerate_graphs
+    enumerate_graphs(5, triangle_free=True)
+    enumerate_graphs.cache_clear()
+    assert enumerate_graphs.cache_info().currsize == 0

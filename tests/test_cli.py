@@ -2,9 +2,11 @@
 
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from ramsat import oracle, verify
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import ConstructionSpec, build
@@ -295,3 +297,30 @@ def test_verify_paper_deadline_bounds_the_oracle_scans(capsys):
     passed = [line[1:3].strip() for line in out.splitlines() if "] PASS " in line]
     assert passed == ["1", "5", "9"]
     assert elapsed < 3.0
+
+
+@pytest.mark.parametrize(
+    "criterion, stopped_at", [(verify.criterion_6, 4), (verify.criterion_10, 6)]
+)
+def test_verify_deadline_stops_a_scan_part_way(monkeypatch, criterion, stopped_at):
+    # the deadline passes after the 40th 2^m scan; only verify's clock
+    # moves, so no search inside the criterion runs out
+    scans = 0
+    scan = oracle.brute_force_bad_colorings
+
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    clock = time.perf_counter
+    monkeypatch.setattr(oracle, "brute_force_bad_colorings", counted)
+    monkeypatch.setattr(
+        verify,
+        "time",
+        SimpleNamespace(perf_counter=lambda: clock() + (1e6 if scans >= 40 else 0)),
+    )
+    result = criterion(budget=verify.SearchBudget(max_seconds=60))
+    assert result.inconclusive and not result.passed
+    assert result.details == f"time budget ran out during the scan at n={stopped_at}"
+    assert scans == 40

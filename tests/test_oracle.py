@@ -88,7 +88,27 @@ def test_enumerate_skips_twin_symmetric_extensions(monkeypatch):
 
 def test_enumerate_cap():
     with pytest.raises(GraphError):
-        enumerate_graphs(9)
+        enumerate_graphs(8)
+    assert len(enumerate_graphs(8, triangle_free=True)) == 410
+    with pytest.raises(GraphError):
+        enumerate_graphs(11, triangle_free=True)
+
+
+# triangle-free classes on n vertices, OEIS A006785
+TRIANGLE_FREE_COUNTS = (1, 1, 2, 3, 7, 14, 38, 107, 410, 1897)
+
+
+@pytest.mark.parametrize("n, count", enumerate(TRIANGLE_FREE_COUNTS))
+def test_enumerate_triangle_free_counts(n, count):
+    assert len(enumerate_graphs(n, triangle_free=True)) == count
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumerate_triangle_free_is_a_subsequence(n):
+    # the same representatives, forms and order as the full enumeration
+    assert list(enumerate_graphs(n, triangle_free=True)) == [
+        g for g in enumerate_graphs(n) if g.is_triangle_free()
+    ]
 
 
 def test_brute_force_examples():
@@ -170,6 +190,23 @@ def test_compute_sat_below_ramsey():
         compute_sat(8, 3)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_compute_sat_scans_each_class_once(monkeypatch, k):
+    # every G+uv is another class on n vertices: 156 scans at n = 6, where
+    # one scan per G+uv took 311 or 312
+    scans = 0
+    scan = oracle.brute_force_bad_colorings
+
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "brute_force_bad_colorings", counted)
+    assert compute_sat(6, k).graphs_scanned == 156
+    assert scans == 156
+
+
 def test_compute_sat_extremal_graphs_reverify():
     """Extremal graphs pass the engine-backed saturation check independently."""
     for n, k in [(5, 3), (5, 4), (6, 4)]:
@@ -223,3 +260,17 @@ def test_scan_k3_saturated():
     only = scan_k3_saturated(6, 1)
     assert len(only) == 1
     assert only[0][0].canonical_form() == star(6).canonical_form()
+
+
+@pytest.mark.parametrize(
+    "delta, graph6s",
+    [
+        (1, ["G???F{"]),
+        (2, ["G?Bfow", "G?BvoW", "G??F~w", "G?rF`w", "G?z_~_"]),
+        (3, ["GCrb`o", "G?o~f_", "G?B~vo"]),
+    ],
+)
+def test_scan_k3_saturated_pinned_at_eight(delta, graph6s):
+    # taken from the scan over all 12,346 classes on 8 vertices, before the
+    # scan learnt to filter only the triangle-free ones
+    assert [g.to_graph6() for g, _ in scan_k3_saturated(8, delta)] == graph6s
