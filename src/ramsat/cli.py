@@ -147,10 +147,14 @@ def _cmd_construct(args) -> int:
 # -- check --------------------------------------------------------------------
 
 
-def _inconclusive(args, reason: str = "budget exhausted") -> str:
+def _inconclusive(args, reason: str) -> str:
     if getattr(args, "format", "text") == "json":
         return _json({"verdict": "inconclusive", "reason": reason})
     return f"inconclusive: {reason}\n"
+
+
+def _ran_out(res) -> str:
+    return f"search exhausted its budget after {res.stats.nodes} nodes"
 
 
 def _cmd_check(args) -> int:
@@ -160,7 +164,7 @@ def _cmd_check(args) -> int:
     if args.predicate in ("arrow", "bad-coloring"):
         res = search.find_bad_coloring(g, k, budget)
         if res.status == EXHAUSTED:
-            _emit(_inconclusive(args), None)
+            _emit(_inconclusive(args, _ran_out(res)), None)
             return EXIT_INCONCLUSIVE
         found = res.status == FOUND
         verdict = found if args.predicate == "bad-coloring" else not found
@@ -177,7 +181,7 @@ def _cmd_check(args) -> int:
     if args.predicate == "count":
         res = search.count_bad_colorings(g, k, cap=args.cap, budget=budget)
         if res.status != search.OK:
-            _emit(_inconclusive(args), None)
+            _emit(_inconclusive(args, _ran_out(res)), None)
             return EXIT_INCONCLUSIVE
         payload = {
             "predicate": "count",

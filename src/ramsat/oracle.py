@@ -4,12 +4,14 @@ Everything here is deliberately brute force. The coloring scan tests all
 2^m colorings, bitsliced: coloring ``x`` (bit i set means edge i is red)
 is bit ``x % 64`` of uint64 word ``x // 64``, so each edge's red variable
 is one word per 64 colorings and every triangle or k-vertex subtree clause
-is a handful of word-wide ANDs and ORs. It never consults the search
-engine, so engine results can be checked against it. Graph enumeration is
-orderly generation with canonical-form rejection that skips extensions a
-twin swap of the parent maps to an earlier one, capped at 7 vertices for
-all graphs and at 10 for triangle-free ones; larger orders come in through
-external graph6 streams.
+is a handful of word-wide ANDs and ORs. The scans and the enumeration
+never consult the search engine, so engine results can be checked against
+them; only family_ramsey_number calls it, on complete graphs past the scan
+cap (K_8 and K_9 at k = 5), so criterion 7 of ``verify`` (k = 3, 4) rests
+on scans alone. Graph enumeration is orderly generation with
+canonical-form rejection that skips extensions a twin swap of the parent
+maps to an earlier one, capped at 7 vertices for all graphs and at 10 for
+triangle-free ones; larger orders come in through external graph6 streams.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .search import EXHAUSTED, FOUND, InconclusiveError, SearchBudget
 
 MAX_ENUM_N = 7
 MAX_SCAN_EDGES = 24
-MAX_SAT_N = 7
 MAX_RAMSEY_K = 5
 
 
@@ -157,8 +158,8 @@ def compute_sat(n: int, k: int) -> SatResult:
     Each class is scanned once; every G+uv is another class on n vertices,
     looked up by canonical form.
     """
-    if not 0 <= n <= MAX_SAT_N:
-        raise GraphError(f"compute_sat caps at n <= {MAX_SAT_N}, got {n}")
+    if not 0 <= n <= MAX_ENUM_N:
+        raise GraphError(f"compute_sat caps at n <= {MAX_ENUM_N}, got {n}")
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     classes = enumerate_graphs(n)
@@ -184,10 +185,12 @@ def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
     """Least n such that every coloring of K_n has a red triangle or a blue
     k-vertex tree.
 
-    Uses the full scan while it fits, the pruned engine beyond; the value is
-    reached quickly because the large complete graphs collapse under the
-    forced-blue presolve. All engine searches draw on ``budget``, a fresh
-    default one when None.
+    Uses the full scan while K_n has at most MAX_SCAN_EDGES edges, and
+    ``search.find_bad_coloring`` beyond (K_8 and K_9 at k = 5), so it is
+    not independent of the engine there; k <= 4 rests on scans alone. The
+    value is reached quickly because the large complete graphs collapse
+    under the forced-blue presolve. All engine searches draw on
+    ``budget``, a fresh default one when None.
     """
     if not 2 <= k <= MAX_RAMSEY_K:
         raise GraphError(f"family_ramsey_number supports 2 <= k <= {MAX_RAMSEY_K}")

@@ -10,6 +10,7 @@ definitely failed.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import comb
@@ -27,7 +28,7 @@ from .constructions import (
     theorem_bounds,
 )
 from .graphs import petersen
-from .search import OK, SearchBudget
+from .search import OK, InconclusiveError, SearchBudget
 
 # Admissible (|B|, |C|) with |B| <= |C| for each deficit e = 2n - k
 _SPLIT_TABLE = {
@@ -49,44 +50,65 @@ class CriterionResult:
     inconclusive: bool = False  # not passed only because a search ran out of budget
 
 
-def _checked(
-    number: int, title: str, failed: bool, exhausted: bool, details: str
-) -> CriterionResult:
-    """Pass when no check failed and no search ran out of budget."""
-    return CriterionResult(
-        number, title, not (failed or exhausted), details, exhausted and not failed
-    )
+class _Failed(Exception):
+    """A check of the criterion failed; the message is the criterion's details."""
 
 
-def _out_of_time(budget: SearchBudget | None) -> bool:
-    """True once the deadline of ``budget`` has passed; the oracle scans
+def _criterion(number: int, title: str):
+    """Turn a criterion body into the criterion: the body returns its PASS
+    details, raises _Failed when a check failed, and raises
+    InconclusiveError when a budget or deadline ran out first."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            try:
+                details, passed, inconclusive = body(*args, **kwargs), True, False
+            except _Failed as exc:
+                details, passed, inconclusive = str(exc), False, False
+            except InconclusiveError as exc:
+                details, passed, inconclusive = str(exc), False, True
+            return CriterionResult(number, title, passed, details, inconclusive)
+
+        return criterion
+
+    return wrap
+
+
+def _settle(details: str, failed: bool, exhausted: bool) -> str:
+    """``details`` when no check failed and no search ran out of budget."""
+    if failed:
+        raise _Failed(details)
+    if exhausted:
+        raise InconclusiveError(details)
+    return details
+
+
+def _check_deadline(budget: SearchBudget | None, when: str) -> None:
+    """Raise once the deadline of ``budget`` has passed; the oracle scans
     check it before they start and before each graph's 2^m scan, since no
     search inside them draws on it."""
-    return budget is not None and time.perf_counter() >= budget.deadline
+    if budget is not None and time.perf_counter() >= budget.deadline:
+        raise InconclusiveError(f"time budget ran out {when}")
 
 
-def criterion_1() -> CriterionResult:
-    title = "construction edge counts: e(geven(n)) = 5n/2, e(godd(n)) = (5n-1)/2"
+@_criterion(1, "construction edge counts: e(geven(n)) = 5n/2, e(godd(n)) = (5n-1)/2")
+def criterion_1() -> str:
     bad = []
-    for n in range(8, 41, 2):
-        g = build(ConstructionSpec.geven(n)).graph
-        if g.m != 5 * n // 2 or g.m != predicted_edge_count(ConstructionSpec.geven(n)):
-            bad.append(("geven", n, g.m))
-    for n in range(9, 42, 2):
-        g = build(ConstructionSpec.godd(n)).graph
-        if g.m != (5 * n - 1) // 2 or g.m != predicted_edge_count(
-            ConstructionSpec.godd(n)
-        ):
-            bad.append(("godd", n, g.m))
+    for make, first in ((ConstructionSpec.geven, 8), (ConstructionSpec.godd, 9)):
+        for n in range(first, first + 33, 2):
+            spec = make(n)
+            m = build(spec).graph.m
+            # 5n // 2 is 5n/2 for even n and (5n-1)/2 for odd n
+            if m != 5 * n // 2 or m != predicted_edge_count(spec):
+                bad.append((spec.kind, n, m))
     if bad:
-        return CriterionResult(1, title, False, f"mismatches: {bad}")
-    return CriterionResult(
-        1, title, True, "even n in [8,40] and odd n in [9,41] all exact"
-    )
+        raise _Failed(f"mismatches: {bad}")
+    return "even n in [8,40] and odd n in [9,41] all exact"
 
 
-def criterion_2(budget: SearchBudget | None = None) -> CriterionResult:
-    title = "geven(18) and godd(19) are saturated with 45 and 47 edges"
+@_criterion(2, "geven(18) and godd(19) are saturated with 45 and 47 edges")
+def criterion_2(budget: SearchBudget | None = None) -> str:
     details = []
     failed = exhausted = False
     for spec, want_m in ((ConstructionSpec.geven(18), 45), (ConstructionSpec.godd(19), 47)):
@@ -95,28 +117,25 @@ def criterion_2(budget: SearchBudget | None = None) -> CriterionResult:
         failed = failed or g.m != want_m or rep.status == saturation.NOT_SATURATED
         exhausted = exhausted or rep.status == saturation.INCONCLUSIVE
         details.append(f"{spec.name}: m={g.m} (want {want_m}), {rep.status}")
-    return _checked(2, title, failed, exhausted, "; ".join(details))
+    return _settle("; ".join(details), failed, exhausted)
 
 
-def criterion_3(budget: SearchBudget | None = None) -> CriterionResult:
-    title = "geven(18) and godd(19) admit exactly one bad 2-coloring"
+@_criterion(3, "geven(18) and godd(19) admit exactly one bad 2-coloring")
+def criterion_3(budget: SearchBudget | None = None) -> str:
     details = []
     failed = exhausted = False
     for spec in (ConstructionSpec.geven(18), ConstructionSpec.godd(19)):
         g = build(spec).graph
         res = search.count_bad_colorings(g, 4, cap=2, budget=budget)
-        if res.status == OK:
-            failed = failed or res.count != 1
-        else:
-            exhausted = True
+        failed = failed or (res.status == OK and res.count != 1)
+        exhausted = exhausted or res.status != OK
         details.append(f"{spec.name}: count={res.count} ({res.status})")
-    return _checked(3, title, failed, exhausted, "; ".join(details))
+    return _settle("; ".join(details), failed, exhausted)
 
 
-def criterion_4(budget: SearchBudget | None = None) -> CriterionResult:
-    title = "general(5,20): saturated, unique coloring, 68 edges in [47, 74]"
-    spec = ConstructionSpec.general(5, 20)
-    g = build(spec).graph
+@_criterion(4, "general(5,20): saturated, unique coloring, 68 edges in [47, 74]")
+def criterion_4(budget: SearchBudget | None = None) -> str:
+    g = build(ConstructionSpec.general(5, 20)).graph
     want_m = 68  # frozen direct join-list count
     bounds = theorem_bounds(5, 20)
     rep = saturation.is_rmin_saturated(g, 5, budget)
@@ -132,89 +151,61 @@ def criterion_4(budget: SearchBudget | None = None) -> CriterionResult:
         f"m={g.m} (want {want_m}), bounds [{bounds.lower}, {bounds.upper}],"
         f" {rep.status}, count={cnt.count}"
     )
-    return _checked(4, title, failed, exhausted, details)
+    return _settle(details, failed, exhausted)
 
 
-def criterion_5(quick: bool = False) -> CriterionResult:
-    title = "general(k,n) built count equals the direct join-list count"
+@_criterion(5, "general(k,n) built count equals the direct join-list count")
+def criterion_5(quick: bool = False) -> str:
     ks = (5, 6) if quick else (5, 6, 7)
     bad = []
     deltas = set()
     for k in ks:
-        q = (k + 1) // 2
         lo = general_min_n(k)
-        for n in range(lo, lo + 3 * q + 1):
+        for n in range(lo, lo + 3 * ((k + 1) // 2) + 1):
             spec = ConstructionSpec.general(k, n)
             built = build(spec).graph.m
             direct = predicted_edge_count(spec)
-            printed = general_printed_formula_edge_count(k, n)
-            deltas.add(printed - built)
+            deltas.add(general_printed_formula_edge_count(k, n) - built)
             if built != direct:
                 bad.append((k, n, built, direct))
     if bad:
-        return CriterionResult(5, title, False, f"mismatches: {bad}")
-    details = (
+        raise _Failed(f"mismatches: {bad}")
+    return (
         f"k in {ks}, all valid n <= n_min + 3*ceil(k/2): built == direct;"
         f" printed closed form exceeds the built count by {sorted(deltas)}"
     )
-    return CriterionResult(5, title, True, details)
 
 
-def criterion_6(
-    quick: bool = False, budget: SearchBudget | None = None
-) -> CriterionResult:
-    title = "engine existence/count verdicts equal the 2^m scan (all n <= 6)"
+@_criterion(6, "engine existence/count verdicts equal the 2^m scan (all n <= 6)")
+def criterion_6(quick: bool = False, budget: SearchBudget | None = None) -> str:
     max_n = 5 if quick else 6
     checked = 0
     for n in range(max_n + 1):
         for g in oracle.enumerate_graphs(n):
             for k in (3, 4, 5):
-                if _out_of_time(budget):
-                    return CriterionResult(
-                        6,
-                        title,
-                        False,
-                        f"time budget ran out during the scan at n={n}",
-                        inconclusive=True,
-                    )
+                _check_deadline(budget, f"during the scan at n={n}")
                 want = len(oracle.brute_force_bad_colorings(g, k))
                 f = search.find_bad_coloring(g, k, budget)
                 c = search.count_bad_colorings(g, k, budget=budget)
                 if f.status == search.EXHAUSTED or c.status != OK:
-                    return CriterionResult(
-                        6,
-                        title,
-                        False,
-                        f"budget exhausted on n={n}, k={k}",
-                        inconclusive=True,
-                    )
+                    raise InconclusiveError(f"budget exhausted on n={n}, k={k}")
                 if (f.status == search.FOUND) != (want > 0) or c.count != want:
-                    return CriterionResult(
-                        6,
-                        title,
-                        False,
+                    raise _Failed(
                         f"mismatch on {g.to_graph6()} k={k}:"
-                        f" engine ({f.status}, {c.count}) vs scan count {want}",
+                        f" engine ({f.status}, {c.count}) vs scan count {want}"
                     )
                 if f.found and not f.certificate.verify(g, k):
-                    return CriterionResult(
-                        6, title, False, f"bad certificate on {g.to_graph6()} k={k}"
-                    )
+                    raise _Failed(f"bad certificate on {g.to_graph6()} k={k}")
                 checked += 1
-    return CriterionResult(
-        6, title, True, f"{checked} (graph, k) pairs agree on existence and count"
-    )
+    return f"{checked} (graph, k) pairs agree on existence and count"
 
 
-def criterion_7(budget: SearchBudget | None = None) -> CriterionResult:
-    title = "sat(n,k) = C(n,2) below the family Ramsey number; r(3)=5, r(4)=7"
-    if _out_of_time(budget):
-        return CriterionResult(
-            7, title, False, "time budget ran out before the scans", inconclusive=True
-        )
+@_criterion(7, "sat(n,k) = C(n,2) below the family Ramsey number; r(3)=5, r(4)=7")
+def criterion_7(budget: SearchBudget | None = None) -> str:
+    _check_deadline(budget, "before the scans")
     rams = {k: oracle.family_ramsey_number(k, budget) for k in (3, 4)}
     if rams != {3: 5, 4: 7}:
-        return CriterionResult(7, title, False, f"family Ramsey numbers {rams}")
+        raise _Failed(f"family Ramsey numbers {rams}")
     bad = []
     for k, r in rams.items():
         for n in range(2, r):
@@ -222,90 +213,59 @@ def criterion_7(budget: SearchBudget | None = None) -> CriterionResult:
             if res.min_edges != comb(n, 2):
                 bad.append((n, k, res.min_edges))
     if bad:
-        return CriterionResult(7, title, False, f"sat mismatches: {bad}")
-    return CriterionResult(
-        7, title, True, "full scans confirm K_n is the unique extremum"
-    )
+        raise _Failed(f"sat mismatches: {bad}")
+    return "full scans confirm K_n is the unique extremum"
 
 
-def criterion_8(
-    quick: bool = False, budget: SearchBudget | None = None
-) -> CriterionResult:
-    title = "K3-saturated, min degree 2: all are J; deficit table; min 2n-5"
+@_criterion(8, "K3-saturated, min degree 2: all are J; deficit table; min 2n-5")
+def criterion_8(quick: bool = False, budget: SearchBudget | None = None) -> str:
     max_n = 7 if quick else 8
     checked = 0
     for n in range(5, max_n + 1):
-        if _out_of_time(budget):
-            return CriterionResult(
-                8,
-                title,
-                False,
-                f"time budget ran out before the scan at n={n}",
-                inconclusive=True,
-            )
+        _check_deadline(budget, f"before the scan at n={n}")
         scan = oracle.scan_k3_saturated(n, 2)
         if not scan:
-            return CriterionResult(8, title, False, f"no graphs found at n={n}")
+            raise _Failed(f"no graphs found at n={n}")
         for g, m in scan:
             cls = saturation.classify_k3_saturated(g)
             if cls.tag != "j":
-                return CriterionResult(
-                    8, title, False, f"non-J graph at n={n}: {g.to_graph6()}"
-                )
+                raise _Failed(f"non-J graph at n={n}: {g.to_graph6()}")
             b, c = sorted((cls.b, cls.c))
             if m != 2 * (n - 2) + b * c - b - c:
-                return CriterionResult(
-                    8, title, False, f"edge formula fails at n={n}: {g.to_graph6()}"
-                )
+                raise _Failed(f"edge formula fails at n={n}: {g.to_graph6()}")
             deficit = 2 * n - m
             if deficit in _SPLIT_TABLE and not _SPLIT_TABLE[deficit](b, c):
-                return CriterionResult(
-                    8,
-                    title,
-                    False,
-                    f"(|B|,|C|)=({b},{c}) not admissible for e=2n-{deficit} at n={n}",
+                raise _Failed(
+                    f"(|B|,|C|)=({b},{c}) not admissible for e=2n-{deficit} at n={n}"
                 )
             checked += 1
         min_m = scan[0][1]
         if min_m != 2 * n - 5:
-            return CriterionResult(
-                8, title, False, f"minimum at n={n} is {min_m}, want {2*n-5}"
-            )
-        for g, m in scan:
-            if m != min_m:
-                continue
-            cls = saturation.classify_k3_saturated(g)
-            if 1 not in (cls.b, cls.c):
-                return CriterionResult(
-                    8, title, False, f"minimizer without |B|=1 or |C|=1 at n={n}"
-                )
-    return CriterionResult(
-        8, title, True, f"{checked} graphs over 5 <= n <= {max_n} all conform"
-    )
+            raise _Failed(f"minimum at n={n} is {min_m}, want {2*n-5}")
+        minimizers = (g for g, m in scan if m == min_m)
+        classes = map(saturation.classify_k3_saturated, minimizers)
+        if any(1 not in (cls.b, cls.c) for cls in classes):
+            raise _Failed(f"minimizer without |B|=1 or |C|=1 at n={n}")
+    return f"{checked} graphs over 5 <= n <= {max_n} all conform"
 
 
-def criterion_9() -> CriterionResult:
-    title = "Petersen: K3-saturated, min degree 3, 15 = 3n-15 edges, bound tight"
+@_criterion(9, "Petersen: K3-saturated, min degree 3, 15 = 3n-15 edges, bound tight")
+def criterion_9() -> str:
     p = petersen()
-    ok = (
-        saturation.is_kt_saturated(p, 3)
-        and p.min_degree() == 3
-        and p.m == 15 == 3 * p.n - 15
-        and saturation.k3_saturated_edge_bound(p) == 2 * p.m
+    saturated = saturation.is_kt_saturated(p, 3)
+    bound = saturation.k3_saturated_edge_bound(p)
+    details = (
+        f"saturated={saturated}, delta={p.min_degree()},"
+        f" e={p.m}, bound={bound} vs 2e={2 * p.m}"
     )
-    return CriterionResult(
-        9,
-        title,
-        ok,
-        f"saturated={saturation.is_kt_saturated(p, 3)}, delta={p.min_degree()},"
-        f" e={p.m}, bound={saturation.k3_saturated_edge_bound(p)} vs 2e={2 * p.m}",
-    )
+    ok = saturated and p.min_degree() == 3 and p.m == 15 == 3 * p.n - 15
+    if not (ok and bound == 2 * p.m):
+        raise _Failed(details)
+    return details
 
 
-def criterion_10(
-    quick: bool = False, budget: SearchBudget | None = None
-) -> CriterionResult:
-    title = "bad-coloring structure: forced-blue edges, small components, max-red"
+@_criterion(10, "bad-coloring structure: forced-blue edges, small components, max-red")
+def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str:
     witnesses = (
         (ConstructionSpec.geven(18), 4),
         (ConstructionSpec.godd(19), 4),
@@ -317,28 +277,16 @@ def criterion_10(
         g = build(spec).graph
         res = search.find_bad_coloring(g, k, budget)
         if res.status == search.EXHAUSTED:
-            return CriterionResult(
-                10,
-                title,
-                False,
-                f"{spec.name}: search exhausted its budget",
-                inconclusive=True,
-            )
+            raise InconclusiveError(f"{spec.name}: search exhausted its budget")
         if not res.found:
-            return CriterionResult(
-                10, title, False, f"{spec.name}: no bad coloring found"
-            )
+            raise _Failed(f"{spec.name}: no bad coloring found")
         unique[spec] = res.certificate
         forced = forced_blue_edges(g, k)
         if not forced.applicable:
-            return CriterionResult(
-                10, title, False, f"{spec.name}: threshold not applicable"
-            )
+            raise _Failed(f"{spec.name}: threshold not applicable")
         for e in forced.edges:
             if not res.certificate.coloring.is_blue(e):
-                return CriterionResult(
-                    10, title, False, f"{spec.name}: forced edge {g.edges[e]} is red"
-                )
+                raise _Failed(f"{spec.name}: forced edge {g.edges[e]} is red")
     max_n = 5 if quick else 6
     scanned = 0
     for n in range(max_n + 1):
@@ -346,58 +294,34 @@ def criterion_10(
             for k in (3, 4, 5):
                 if n < k + 2:
                     continue
-                if _out_of_time(budget):
-                    return CriterionResult(
-                        10,
-                        title,
-                        False,
-                        f"time budget ran out during the scan at n={n}",
-                        inconclusive=True,
-                    )
+                _check_deadline(budget, f"during the scan at n={n}")
                 masks = oracle.brute_force_bad_colorings(g, k)
                 if len(masks) == 0:
                     continue
-                for e in forced_blue_edges(g, k).edges:
-                    bit = np.uint32(1 << e)
-                    if np.any(masks & bit):
-                        return CriterionResult(
-                            10,
-                            title,
-                            False,
-                            f"red high-triangle edge in {g.to_graph6()} k={k}",
-                        )
+                forced = forced_blue_edges(g, k).edges
+                if any(np.any(masks & np.uint32(1 << e)) for e in forced):
+                    raise _Failed(f"red high-triangle edge in {g.to_graph6()} k={k}")
                 scanned += 1
     # (b) + (c) structure of the unique and the max-red colorings
     for spec, k in witnesses:
         g = build(spec).graph
-        rep = saturation.check_certificate_structure(
-            g, k, unique[spec], saturated=True
-        )
+        rep = saturation.check_certificate_structure(g, k, unique[spec], saturated=True)
         if rep.small_count_ok is not True or rep.red_complete_ok is False:
-            return CriterionResult(
-                10, title, False, f"{spec.name}: small-component clauses fail: {rep}"
-            )
+            raise _Failed(f"{spec.name}: small-component clauses fail: {rep}")
         mr = search.find_max_red_bad_coloring(g, k, budget)
+        if mr.status == search.EXHAUSTED:
+            raise InconclusiveError(f"{spec.name}: max-red search {mr.status}")
         if not mr.found:
-            return CriterionResult(
-                10,
-                title,
-                False,
-                f"{spec.name}: max-red search {mr.status}",
-                inconclusive=mr.status == search.EXHAUSTED,
-            )
+            raise _Failed(f"{spec.name}: max-red search {mr.status}")
         rep = saturation.check_certificate_structure(
             g, k, mr.certificate, saturated=True, max_red=True
         )
         if rep.max_red_degree_ok is not True or rep.red_two_connected_ok is not True:
-            return CriterionResult(
-                10, title, False, f"{spec.name}: max-red clauses fail: {rep}"
-            )
-    details = (
+            raise _Failed(f"{spec.name}: max-red clauses fail: {rep}")
+    return (
         f"witness colorings and {scanned} enumerated (graph, k) pairs conform;"
         " max-red colorings have red max degree <= n-3 and 2-connected red graphs"
     )
-    return CriterionResult(10, title, True, details)
 
 
 def run_all(

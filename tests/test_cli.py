@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output determinism."""
 
+import hashlib
 import json
 import time
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import complete, from_graph6, path, star
-from ramsat.search import _Engine
+from ramsat.search import InconclusiveError, _Engine
 
 
 @pytest.fixture
@@ -25,6 +26,10 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_construct_dot(capsys):
@@ -157,7 +162,8 @@ def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_fil
     code, out, _ = run(
         capsys, ["check", "count", str(p), "--k", "5", "--max-nodes", "1"]
     )
-    assert code == 3 and "inconclusive" in out
+    assert code == 3
+    assert out == "inconclusive: search exhausted its budget after 1 nodes\n"
 
     # the enumeration of geven(18)'s bad colorings needs 4 nodes
     code, out, _ = run(
@@ -260,6 +266,23 @@ def test_verify_paper_quick(capsys):
     assert code == 0
     assert "10/10 criteria passed" in out
     assert out.count("PASS") == 10
+    assert sha256(out) == (
+        "840366f93195d160d30ef8a5bbdf62dc0aa3574945a61f243b5d90e4f8a62f23"
+    )
+
+
+def test_verify_paper_inconclusive_error_marks_its_criterion(capsys, monkeypatch):
+    def ran_out(*args):
+        raise InconclusiveError("search on K_8 exhausted its budget")
+
+    monkeypatch.setattr(oracle, "family_ramsey_number", ran_out)
+    code, out, _ = run(capsys, ["verify-paper", "--quick"])
+    assert code == 3
+    lines = out.splitlines()
+    assert [line[:4] for line in lines[:-1:2]] == [f"[{i:2d}]" for i in range(1, 11)]
+    assert lines[12].startswith("[ 7] INCONCLUSIVE  ")
+    assert lines[13].strip() == "search on K_8 exhausted its budget"
+    assert lines[-1] == "9/10 criteria passed, 1 inconclusive"
 
 
 def test_verify_paper_budget_exhaustion_is_inconclusive(capsys):
@@ -268,6 +291,9 @@ def test_verify_paper_budget_exhaustion_is_inconclusive(capsys):
     assert "FAIL" not in out and "no bad coloring found" not in out
     assert out.count("INCONCLUSIVE") == 5
     assert out.splitlines()[-1] == "5/10 criteria passed, 5 inconclusive"
+    assert sha256(out) == (
+        "b51b89931306322b691bc8048d22473d5e6db5895f7c1dca7ec8929dfbc05777"
+    )
 
 
 def test_verify_paper_budget_bounds_the_whole_command(capsys, monkeypatch):
@@ -285,6 +311,9 @@ def test_verify_paper_budget_bounds_the_whole_command(capsys, monkeypatch):
     assert code == 3
     assert out.splitlines()[-1] == "8/10 criteria passed, 2 inconclusive"
     assert sum(spent) <= 20
+    assert sha256(out) == (
+        "f083ccb6b68522f9d668109d978a71236b746c6e242ed7095a69e7b15c9558a9"
+    )
 
 
 def test_verify_paper_deadline_bounds_the_oracle_scans(capsys):
@@ -297,6 +326,9 @@ def test_verify_paper_deadline_bounds_the_oracle_scans(capsys):
     passed = [line[1:3].strip() for line in out.splitlines() if "] PASS " in line]
     assert passed == ["1", "5", "9"]
     assert elapsed < 3.0
+    assert sha256(out) == (
+        "00b6e9d7b0126620394f632bc90ac3a495829fa7d980fa16c4ff47e7fa3aca49"
+    )
 
 
 @pytest.mark.parametrize(
