@@ -32,10 +32,12 @@ EXIT_INTERNAL = 4
 
 
 def _read_graph(path: str) -> Graph:
+    # files decode as stdin does in UTF-8 mode: a byte that is not UTF-8
+    # becomes one lone surrogate, which from_graph6 rejects by its offset
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     for line in lines:
         if line.strip():

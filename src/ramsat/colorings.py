@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .graphs import Graph, GraphError, bits
+from .graphs import Graph, GraphError, bits, component_masks
 
 RED = 0
 BLUE = 1
@@ -77,6 +77,16 @@ class TwoColoring:
         self._check(g)
         return Graph(g.n, (g.edges[i] for i in self.blue_edge_indices()))
 
+    def red_adjacency(self, g: Graph) -> list[int]:
+        """Bitset of each vertex's red neighbours."""
+        self._check(g)
+        radj = [0] * g.n
+        for (u, v), c in zip(g.edges, self.colors):
+            if c == RED:
+                radj[u] |= 1 << v
+                radj[v] |= 1 << u
+        return radj
+
     def _check(self, g: Graph) -> None:
         if len(self.colors) != g.m:
             raise GraphError(
@@ -92,27 +102,15 @@ class TwoColoring:
         return [[u, v, COLOR_NAMES[self.colors[i]]] for i, (u, v) in enumerate(g.edges)]
 
 
+def _blue_sizes(g: Graph, radj: list[int]) -> tuple[int, ...]:
+    blue = [a & ~r for a, r in zip(g.adj, radj)]
+    comps = component_masks(blue, (1 << g.n) - 1)
+    return tuple(sorted((comp.bit_count() for comp in comps), reverse=True))
+
+
 def blue_component_sizes(g: Graph, coloring: TwoColoring) -> tuple[int, ...]:
     """Sizes of all blue components (singletons included), descending."""
-    coloring._check(g)
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in coloring.blue_edge_indices():
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    sizes: dict[int, int] = {}
-    for v in range(g.n):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
+    return _blue_sizes(g, coloring.red_adjacency(g))
 
 
 def _bad_coloring_sizes(
@@ -121,18 +119,10 @@ def _bad_coloring_sizes(
     """The blue component sizes when the coloring is bad, else None."""
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    coloring._check(g)
-    red = coloring.red_edge_indices()
-    radj = [0] * g.n
-    for i in red:
-        u, v = g.edges[i]
-        radj[u] |= 1 << v
-        radj[v] |= 1 << u
-    for i in red:
-        u, v = g.edges[i]
-        if radj[u] & radj[v]:
-            return None
-    sizes = blue_component_sizes(g, coloring)
+    radj = coloring.red_adjacency(g)
+    if any(radj[u] >> v & 1 and radj[u] & radj[v] for u, v in g.edges):
+        return None
+    sizes = _blue_sizes(g, radj)
     return None if sizes and sizes[0] > k - 1 else sizes
 
 

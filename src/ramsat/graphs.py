@@ -9,7 +9,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Graph",
@@ -58,6 +58,24 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def component_masks(adj: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the components of the subgraph that ``mask`` induces
+    in the graph with adjacency bitsets ``adj``, by smallest vertex."""
+    comps = []
+    while mask:
+        comp = todo = mask & -mask
+        mask ^= comp
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            grow = adj[low.bit_length() - 1] & mask
+            mask ^= grow
+            todo |= grow
+            comp |= grow
+        comps.append(comp)
+    return comps
 
 
 class Graph:
@@ -188,72 +206,24 @@ class Graph:
         return True
 
     def components(self) -> ComponentPartition:
-        assignment = [-1] * self.n
-        sizes = []
-        for v in range(self.n):
-            if assignment[v] >= 0:
-                continue
-            cid = len(sizes)
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for u in bits(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & ~comp
-                comp |= frontier
-            for u in bits(comp):
-                assignment[u] = cid
-            sizes.append(comp.bit_count())
-        return ComponentPartition(tuple(assignment), tuple(sizes))
+        masks = component_masks(self.adj, (1 << self.n) - 1)
+        assignment = [0] * self.n
+        for cid, comp in enumerate(masks):
+            for v in bits(comp):
+                assignment[v] = cid
+        sizes = tuple(comp.bit_count() for comp in masks)
+        return ComponentPartition(tuple(assignment), sizes)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return len(self.components().sizes) == 1
+        return len(component_masks(self.adj, (1 << self.n) - 1)) <= 1
 
     def is_2_connected(self) -> bool:
-        """True iff n >= 3, connected, and no articulation vertex."""
-        if self.n < 3:
-            return False
-        if not self.is_connected():
-            return False
-        # Iterative DFS lowpoint (Hopcroft-Tarjan).
-        n = self.n
-        disc = [-1] * n
-        low = [0] * n
-        parent = [-1] * n
-        timer = 0
-        root_children = 0
-        stack = [(0, iter(bits(self.adj[0])))]
-        disc[0] = low[0] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] < 0:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == 0:
-                        root_children += 1
-                    stack.append((w, iter(bits(self.adj[w]))))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                p = parent[v]
-                if p >= 0:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    # non-root articulation test
-                    if p != 0 and low[v] >= disc[p]:
-                        return False
-        return root_children <= 1
+        """True iff n >= 3 and deleting any one vertex leaves a connected
+        graph (which makes the graph itself connected)."""
+        full = (1 << self.n) - 1
+        return self.n >= 3 and all(
+            len(component_masks(self.adj, full ^ 1 << v)) == 1 for v in range(self.n)
+        )
 
     # -- canonical form ---------------------------------------------------
 

@@ -26,7 +26,7 @@ from . import search
 from .colorings import enumerate_subtrees
 from .graphs import CANONICAL_MAX_N, Graph, GraphError, bits
 from .saturation import is_kt_saturated
-from .search import EXHAUSTED, FOUND, InconclusiveError, SearchBudget
+from .search import EXHAUSTED, FOUND, SearchBudget
 
 MAX_ENUM_N = 7
 MAX_SCAN_EDGES = 24
@@ -196,6 +196,7 @@ def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
         raise GraphError(f"family_ramsey_number supports 2 <= k <= {MAX_RAMSEY_K}")
     if budget is None:
         budget = SearchBudget()
+    start = budget.nodes_left
     n = 1
     while True:
         g = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
@@ -204,7 +205,7 @@ def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
         else:
             res = search.find_bad_coloring(g, k, budget)
             if res.status == EXHAUSTED:
-                raise InconclusiveError(f"search on K_{n} exhausted its budget")
+                raise budget.ran_out(f"search on K_{n} exhausted its budget", start)
             exists = res.status == FOUND
         if not exists:
             return n

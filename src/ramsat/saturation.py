@@ -15,8 +15,8 @@ from itertools import combinations
 
 from . import search
 from .colorings import BadColoringCertificate, TwoColoring, make_certificate
-from .graphs import Graph, GraphError, bits
-from .search import EXHAUSTED, FOUND, NONE, InconclusiveError, SearchBudget
+from .graphs import Graph, GraphError, bits, component_masks
+from .search import EXHAUSTED, FOUND, NONE, SearchBudget
 
 SATURATED = "saturated"
 NOT_SATURATED = "not-saturated"
@@ -212,21 +212,15 @@ def is_ramsey_minimal(
     if budget is None:
         budget = SearchBudget()
     start = budget.nodes_left
-
-    def exhausted(what: str) -> InconclusiveError:
-        return InconclusiveError(
-            f"{what} exhausted its budget after {start - budget.nodes_left} nodes"
-        )
-
     base = search.find_bad_coloring(g, k, budget)
     if base.status == EXHAUSTED:
-        raise exhausted("base search")
+        raise budget.ran_out("base search exhausted its budget", start)
     if base.status == FOUND:
         return False
     for u, v in g.edges:
         res = search.find_bad_coloring(g.without_edge(u, v), k, budget)
         if res.status == EXHAUSTED:
-            raise exhausted(f"search on g - ({u},{v})")
+            raise budget.ran_out(f"search on g - ({u},{v}) exhausted its budget", start)
         if res.status != FOUND:
             return False
     return True
@@ -339,8 +333,8 @@ def k3_saturated_edge_bound(g: Graph) -> int:
 class CertificateStructureReport:
     """Pass/fail per structural clause; None marks a clause not evaluated."""
 
-    small_blue_components: int | None = None
-    small_count_ok: bool | None = None
+    small_blue_components: int
+    small_count_ok: bool
     red_complete_ok: bool | None = None
     max_red_degree_ok: bool | None = None
     red_two_connected_ok: bool | None = None
@@ -350,7 +344,6 @@ def check_certificate_structure(
     g: Graph,
     k: int,
     cert: BadColoringCertificate,
-    saturated: bool,
     max_red: bool = False,
 ) -> CertificateStructureReport:
     """Check the structural consequences a bad coloring of a saturated graph
@@ -360,29 +353,22 @@ def check_certificate_structure(
     2-connected red subgraph."""
     if not cert.verify(g, k):
         raise GraphError("certificate does not verify for this graph and k")
-    small_count = None
-    count_ok = None
-    complete_ok = None
-    degree_ok = None
-    two_conn_ok = None
-    coloring = cert.coloring
-    if saturated:
-        comp = coloring.blue_graph(g).components()
-        # strict threshold: components on fewer than k/2 vertices
-        small_ids = [
-            cid for cid, size in enumerate(comp.sizes) if 2 * size < k
-        ]
-        small_count = len(small_ids)
-        count_ok = small_count <= 2
-        if small_count == 2:
-            d1 = [v for v in range(g.n) if comp.assignment[v] == small_ids[0]]
-            d2 = [v for v in range(g.n) if comp.assignment[v] == small_ids[1]]
-            red = coloring.red_graph(g)
-            complete_ok = all(red.has_edge(x, y) for x in d1 for y in d2)
-    if saturated and max_red and g.n >= k + 2:
-        red = coloring.red_graph(g)
+    radj = cert.coloring.red_adjacency(g)
+    blue = [a & ~r for a, r in zip(g.adj, radj)]
+    # strict threshold: components on fewer than k/2 vertices
+    small = [
+        comp
+        for comp in component_masks(blue, (1 << g.n) - 1)
+        if 2 * comp.bit_count() < k
+    ]
+    complete_ok = degree_ok = two_conn_ok = None
+    if len(small) == 2:
+        d1, d2 = small
+        complete_ok = all(radj[x] & d2 == d2 for x in bits(d1))
+    if max_red and g.n >= k + 2:
+        red = cert.coloring.red_graph(g)
         degree_ok = red.max_degree() <= g.n - 3
         two_conn_ok = red.is_2_connected()
     return CertificateStructureReport(
-        small_count, count_ok, complete_ok, degree_ok, two_conn_ok
+        len(small), len(small) <= 2, complete_ok, degree_ok, two_conn_ok
     )

@@ -67,6 +67,11 @@ class SearchBudget:
         self.nodes_left = max_nodes
         self.deadline = time.perf_counter() + max_seconds
 
+    def ran_out(self, what: str, start: int) -> InconclusiveError:
+        """The error for ``what``, naming the nodes drawn since ``start``
+        were left."""
+        return InconclusiveError(f"{what} after {start - self.nodes_left} nodes")
+
 
 @dataclass
 class SearchStats:

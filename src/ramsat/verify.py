@@ -178,6 +178,9 @@ def criterion_5(quick: bool = False) -> str:
 
 @_criterion(6, "engine existence/count verdicts equal the 2^m scan (all n <= 6)")
 def criterion_6(quick: bool = False, budget: SearchBudget | None = None) -> str:
+    if budget is None:
+        budget = SearchBudget()
+    start = budget.nodes_left
     max_n = 5 if quick else 6
     checked = 0
     for n in range(max_n + 1):
@@ -188,7 +191,7 @@ def criterion_6(quick: bool = False, budget: SearchBudget | None = None) -> str:
                 f = search.find_bad_coloring(g, k, budget)
                 c = search.count_bad_colorings(g, k, budget=budget)
                 if f.status == search.EXHAUSTED or c.status != OK:
-                    raise InconclusiveError(f"budget exhausted on n={n}, k={k}")
+                    raise budget.ran_out(f"budget exhausted on n={n}, k={k}", start)
                 if (f.status == search.FOUND) != (want > 0) or c.count != want:
                     raise _Failed(
                         f"mismatch on {g.to_graph6()} k={k}:"
@@ -271,13 +274,16 @@ def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str
         (ConstructionSpec.godd(19), 4),
         (ConstructionSpec.general(5, 20), 5),
     )
+    if budget is None:
+        budget = SearchBudget()
+    start = budget.nodes_left
     # (a) every high-triangle edge is blue in every bad coloring
     unique = {}
     for spec, k in witnesses:
         g = build(spec).graph
         res = search.find_bad_coloring(g, k, budget)
         if res.status == search.EXHAUSTED:
-            raise InconclusiveError(f"{spec.name}: search exhausted its budget")
+            raise budget.ran_out(f"{spec.name}: search exhausted its budget", start)
         if not res.found:
             raise _Failed(f"{spec.name}: no bad coloring found")
         unique[spec] = res.certificate
@@ -305,17 +311,15 @@ def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str
     # (b) + (c) structure of the unique and the max-red colorings
     for spec, k in witnesses:
         g = build(spec).graph
-        rep = saturation.check_certificate_structure(g, k, unique[spec], saturated=True)
+        rep = saturation.check_certificate_structure(g, k, unique[spec])
         if rep.small_count_ok is not True or rep.red_complete_ok is False:
             raise _Failed(f"{spec.name}: small-component clauses fail: {rep}")
         mr = search.find_max_red_bad_coloring(g, k, budget)
         if mr.status == search.EXHAUSTED:
-            raise InconclusiveError(f"{spec.name}: max-red search {mr.status}")
+            raise budget.ran_out(f"{spec.name}: max-red search {mr.status}", start)
         if not mr.found:
             raise _Failed(f"{spec.name}: max-red search {mr.status}")
-        rep = saturation.check_certificate_structure(
-            g, k, mr.certificate, saturated=True, max_red=True
-        )
+        rep = saturation.check_certificate_structure(g, k, mr.certificate, max_red=True)
         if rep.max_red_degree_ok is not True or rep.red_two_connected_ok is not True:
             raise _Failed(f"{spec.name}: max-red clauses fail: {rep}")
     return (

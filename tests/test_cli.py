@@ -219,6 +219,28 @@ def test_check_stdin(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_ascii_bytes_in_graph6_input(capsys, monkeypatch, tmp_path, source):
+    import io
+
+    def check(data):
+        if source == "stdin":
+            # stdin as the interpreter opens it in UTF-8 mode
+            stream = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape")
+            monkeypatch.setattr("sys.stdin", stream)
+            path = "-"
+        else:
+            path = tmp_path / "in.g6"
+            path.write_bytes(data)
+        return run(capsys, ["check", "count", str(path), "--k", "3"])
+
+    # only the first non-blank line is parsed
+    assert check(b"\nD~{\n\xff\n") == (0, "count = 0\n", "")
+    code, out, err = check(b"D~\xff{\n")
+    assert code == 2 and out == ""
+    assert err == "error: invalid graph6 character '\\udcff' (byte offset 2)\n"
+
+
 def test_sat_command(capsys):
     code, out, _ = run(capsys, ["sat", "--n", "5", "--k", "4"])
     assert code == 0
@@ -290,9 +312,13 @@ def test_verify_paper_budget_exhaustion_is_inconclusive(capsys):
     assert code == 3
     assert "FAIL" not in out and "no bad coloring found" not in out
     assert out.count("INCONCLUSIVE") == 5
-    assert out.splitlines()[-1] == "5/10 criteria passed, 5 inconclusive"
+    lines = out.splitlines()
+    assert lines[-1] == "5/10 criteria passed, 5 inconclusive"
+    # criteria 2-4 spend the one node, so 6 and 10 draw none
+    assert lines[11].strip() == "budget exhausted on n=2, k=3 after 0 nodes"
+    assert lines[19].strip() == "geven(18): search exhausted its budget after 0 nodes"
     assert sha256(out) == (
-        "b51b89931306322b691bc8048d22473d5e6db5895f7c1dca7ec8929dfbc05777"
+        "fe83d7bb927d819fca607d48087ed392e7ff9056776bd30443e72df88ee9bc94"
     )
 
 
@@ -309,10 +335,13 @@ def test_verify_paper_budget_bounds_the_whole_command(capsys, monkeypatch):
     monkeypatch.setattr(_Engine, "run", counted)
     code, out, _ = run(capsys, ["verify-paper", "--quick", "--max-nodes", "20"])
     assert code == 3
-    assert out.splitlines()[-1] == "8/10 criteria passed, 2 inconclusive"
+    lines = out.splitlines()
+    assert lines[-1] == "8/10 criteria passed, 2 inconclusive"
     assert sum(spent) <= 20
+    assert lines[11].strip() == "budget exhausted on n=3, k=5 after 10 nodes"
+    assert lines[19].strip() == "geven(18): search exhausted its budget after 0 nodes"
     assert sha256(out) == (
-        "f083ccb6b68522f9d668109d978a71236b746c6e242ed7095a69e7b15c9558a9"
+        "3730e78b89800fca91148fadce450f43bac9d2ca50bef355f9e86ad8a494f4e6"
     )
 
 
@@ -326,9 +355,31 @@ def test_verify_paper_deadline_bounds_the_oracle_scans(capsys):
     passed = [line[1:3].strip() for line in out.splitlines() if "] PASS " in line]
     assert passed == ["1", "5", "9"]
     assert elapsed < 3.0
-    assert sha256(out) == (
-        "00b6e9d7b0126620394f632bc90ac3a495829fa7d980fa16c4ff47e7fa3aca49"
+    assert out.splitlines()[19].strip() == (
+        "geven(18): search exhausted its budget after 0 nodes"
     )
+    assert sha256(out) == (
+        "fe1a056716d4d72be088c5541bad2b1c6b28854be69128dcb386be653368ecb8"
+    )
+
+
+@pytest.mark.parametrize(
+    "max_nodes, details",
+    [
+        (3, "geven(18): search exhausted its budget after 3 nodes"),
+        (4, "general(5, 20): search exhausted its budget after 4 nodes"),
+        (7, "geven(18): max-red search budget-exhausted after 7 nodes"),
+    ],
+)
+def test_criterion_10_names_the_nodes_it_drew(max_nodes, details):
+    result = verify.criterion_10(quick=True, budget=verify.SearchBudget(max_nodes))
+    assert result.inconclusive and result.details == details
+
+
+def test_family_ramsey_number_names_the_nodes_it_drew():
+    with pytest.raises(InconclusiveError) as exc:
+        oracle.family_ramsey_number(5, verify.SearchBudget(max_nodes=1))
+    assert str(exc.value) == "search on K_8 exhausted its budget after 1 nodes"
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,20 @@ def test_blue_component_sizes():
     assert blue_component_sizes(g, TwoColoring([RED] * g.m)) == (1,) * 5
 
 
+def test_blue_component_sizes_match_networkx():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        coloring = TwoColoring(rng.choice((RED, BLUE)) for _ in range(g.m))
+        blue = nx.Graph()
+        blue.add_nodes_from(range(n))
+        blue.add_edges_from(g.edges[i] for i in coloring.blue_edge_indices())
+        want = sorted((len(c) for c in nx.connected_components(blue)), reverse=True)
+        assert blue_component_sizes(g, coloring) == tuple(want)
+
+
 def test_certificate_verification():
     g = star(6)
     c = TwoColoring([RED] * g.m)

@@ -164,22 +164,20 @@ def test_is_triangle_free():
 
 
 def brute_force_is_2_connected(g):
-    if g.n < 3 or not g.is_connected():
-        return False
-    for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        relabel = {u: i for i, u in enumerate(rest)}
-        h = Graph(
-            g.n - 1,
-            [
-                (relabel[a], relabel[b])
-                for a, b in g.edges
-                if a != v and b != v
-            ],
-        )
-        if not h.is_connected():
-            return False
-    return True
+    """n >= 3 and every G - v connected, by a search over the edge list."""
+
+    def connected(vertices):
+        seen = {min(vertices)}
+        grown = True
+        while grown:
+            grown = False
+            for a, b in g.edges:
+                if a in vertices and b in vertices and (a in seen) != (b in seen):
+                    seen |= {a, b}
+                    grown = True
+        return seen == vertices
+
+    return g.n >= 3 and all(connected(set(range(g.n)) - {v}) for v in range(g.n))
 
 
 def test_is_2_connected():
@@ -263,6 +261,28 @@ def as_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def test_connectivity_matches_networkx():
+    rng = random.Random(31)
+    graphs = [empty(0), empty(1), empty(2), path(2)]
+    for _ in range(120):
+        n = rng.randint(0, 12)
+        graphs.append(random_graph(rng, n, max_m=rng.choice((n, 2 * n, None))))
+    for _ in range(20):
+        part = random_graph(rng, rng.randint(1, 6))
+        graphs.append(disjoint_union(part, complete(rng.randint(1, 4))))
+    for g in graphs:
+        h = as_nx(g)
+        comps = sorted(nx.connected_components(h), key=min)
+        assignment = [0] * g.n
+        for cid, comp in enumerate(comps):
+            for v in comp:
+                assignment[v] = cid
+        sizes = tuple(len(comp) for comp in comps)
+        assert g.components() == ComponentPartition(tuple(assignment), sizes)
+        assert g.is_connected() == (len(comps) <= 1)
+        assert g.is_2_connected() == (g.n >= 3 and nx.is_biconnected(h))
 
 
 def test_canonical_form_separates_nonisomorphic_pairs():

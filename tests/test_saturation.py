@@ -323,24 +323,18 @@ def test_erdos_hajnal_moon_t3():
 def test_check_certificate_structure():
     b = build(ConstructionSpec.geven(18))
     res = find_bad_coloring(b.graph, 4)
-    rep = check_certificate_structure(b.graph, 4, res.certificate, saturated=True)
+    rep = check_certificate_structure(b.graph, 4, res.certificate)
     assert rep.small_count_ok is True
     assert rep.max_red_degree_ok is None  # max_red not claimed
     mr = find_max_red_bad_coloring(b.graph, 4)
-    rep = check_certificate_structure(
-        b.graph, 4, mr.certificate, saturated=True, max_red=True
-    )
+    rep = check_certificate_structure(b.graph, 4, mr.certificate, max_red=True)
     assert rep.max_red_degree_ok is True and rep.red_two_connected_ok is True
     assert False not in (rep.small_count_ok, rep.red_complete_ok)
-    # non-saturated inputs skip the structural clauses
-    g = star(6)
-    cert = find_bad_coloring(g, 3).certificate
-    rep = check_certificate_structure(g, 3, cert, saturated=False)
-    assert rep.small_count_ok is None and rep.small_blue_components is None
     # certificates must verify before any clause is evaluated
+    g = star(6)
     with pytest.raises(GraphError):
         check_certificate_structure(
-            g, 3, BadColoringCertificate(TwoColoring([0] * g.m), (6,)), True
+            g, 3, BadColoringCertificate(TwoColoring([0] * g.m), (6,))
         )
 
 
@@ -348,14 +342,16 @@ def test_small_component_clause_with_two_components():
     # K6 at k = 4: unique-style coloring with two blue triangles;
     # components of size < 2 are absent, so use k = 7 where size < 3.5
     g = complete(6)
-    coloring = TwoColoring.from_blue_edges(
-        g, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    )
-    cert = BadColoringCertificate(coloring, (3, 3))
-    rep = check_certificate_structure(g, 7, cert, saturated=True)
+    triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    cert = BadColoringCertificate(TwoColoring.from_blue_edges(g, triangles), (3, 3))
+    rep = check_certificate_structure(g, 7, cert)
     assert rep.small_blue_components == 2
     assert rep.small_count_ok is True
     assert rep.red_complete_ok is True  # K3,3 between the triangles
+    # without the pair (0, 3) the red edges between them are not complete
+    h = g.without_edge(0, 3)
+    cert = BadColoringCertificate(TwoColoring.from_blue_edges(h, triangles), (3, 3))
+    assert check_certificate_structure(h, 7, cert).red_complete_ok is False
 
 
 def test_saturation_report_serialization():
