@@ -22,7 +22,6 @@ from .constructions import (
     theorem_bounds,
 )
 from .graphs import (
-    ComponentPartition,
     Graph,
     Graph6Error,
     GraphError,

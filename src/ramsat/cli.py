@@ -32,10 +32,16 @@ EXIT_INTERNAL = 4
 
 
 def _read_graph(path: str) -> Graph:
-    # files decode as stdin does in UTF-8 mode: a byte that is not UTF-8
-    # becomes one lone surrogate, which from_graph6 rejects by its offset
+    # a byte that is not UTF-8 becomes one lone surrogate, which
+    # from_graph6 rejects by its offset; a text stream without a byte
+    # buffer (io.StringIO) is read as it stands
     if path == "-":
-        lines = sys.stdin.read().splitlines()
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:
+            text = sys.stdin.read()
+        else:
+            text = buffer.read().decode("utf-8", "surrogateescape")
+        lines = text.splitlines()
     else:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
@@ -155,10 +161,6 @@ def _inconclusive(args, reason: str) -> str:
     return f"inconclusive: {reason}\n"
 
 
-def _ran_out(res) -> str:
-    return f"search exhausted its budget after {res.stats.nodes} nodes"
-
-
 def _cmd_check(args) -> int:
     g = _read_graph(args.input)
     budget = _budget(args)
@@ -166,7 +168,8 @@ def _cmd_check(args) -> int:
     if args.predicate in ("arrow", "bad-coloring"):
         res = search.find_bad_coloring(g, k, budget)
         if res.status == EXHAUSTED:
-            _emit(_inconclusive(args, _ran_out(res)), None)
+            ran_out = budget.ran_out("search exhausted its budget", budget.max_nodes)
+            _emit(_inconclusive(args, str(ran_out)), None)
             return EXIT_INCONCLUSIVE
         found = res.status == FOUND
         verdict = found if args.predicate == "bad-coloring" else not found
@@ -183,7 +186,8 @@ def _cmd_check(args) -> int:
     if args.predicate == "count":
         res = search.count_bad_colorings(g, k, cap=args.cap, budget=budget)
         if res.status != search.OK:
-            _emit(_inconclusive(args, _ran_out(res)), None)
+            ran_out = budget.ran_out("search exhausted its budget", budget.max_nodes)
+            _emit(_inconclusive(args, str(ran_out)), None)
             return EXIT_INCONCLUSIVE
         payload = {
             "predicate": "count",

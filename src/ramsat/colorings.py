@@ -57,25 +57,9 @@ class TwoColoring:
     def is_blue(self, index: int) -> bool:
         return self.colors[index] == BLUE
 
-    def red_edge_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c == RED)
-
-    def blue_edge_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c == BLUE)
-
     @property
     def red_count(self) -> int:
         return len(self.colors) - sum(self.colors)
-
-    def red_graph(self, g: Graph) -> Graph:
-        """Spanning subgraph carrying the red edges."""
-        self._check(g)
-        return Graph(g.n, (g.edges[i] for i in self.red_edge_indices()))
-
-    def blue_graph(self, g: Graph) -> Graph:
-        """Spanning subgraph carrying the blue edges."""
-        self._check(g)
-        return Graph(g.n, (g.edges[i] for i in self.blue_edge_indices()))
 
     def red_adjacency(self, g: Graph) -> list[int]:
         """Bitset of each vertex's red neighbours."""
@@ -102,17 +86,6 @@ class TwoColoring:
         return [[u, v, COLOR_NAMES[self.colors[i]]] for i, (u, v) in enumerate(g.edges)]
 
 
-def _blue_sizes(g: Graph, radj: list[int]) -> tuple[int, ...]:
-    blue = [a & ~r for a, r in zip(g.adj, radj)]
-    comps = component_masks(blue, (1 << g.n) - 1)
-    return tuple(sorted((comp.bit_count() for comp in comps), reverse=True))
-
-
-def blue_component_sizes(g: Graph, coloring: TwoColoring) -> tuple[int, ...]:
-    """Sizes of all blue components (singletons included), descending."""
-    return _blue_sizes(g, coloring.red_adjacency(g))
-
-
 def _bad_coloring_sizes(
     g: Graph, k: int, coloring: TwoColoring
 ) -> tuple[int, ...] | None:
@@ -122,7 +95,9 @@ def _bad_coloring_sizes(
     radj = coloring.red_adjacency(g)
     if any(radj[u] >> v & 1 and radj[u] & radj[v] for u, v in g.edges):
         return None
-    sizes = _blue_sizes(g, radj)
+    blue = [a & ~r for a, r in zip(g.adj, radj)]
+    comps = component_masks(blue, (1 << g.n) - 1)
+    sizes = tuple(sorted((comp.bit_count() for comp in comps), reverse=True))
     return None if sizes and sizes[0] > k - 1 else sizes
 
 

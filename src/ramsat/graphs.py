@@ -9,13 +9,12 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
     "GraphError",
     "Graph6Error",
-    "ComponentPartition",
     "complete",
     "empty",
     "cycle",
@@ -42,16 +41,6 @@ class Graph6Error(GraphError):
         self.offset = offset
 
 
-class ComponentPartition(NamedTuple):
-    """Connected components: vertex -> id, and id -> size.
-
-    Ids are contiguous from 0, ordered by each component's smallest vertex.
-    """
-
-    assignment: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -76,6 +65,16 @@ def component_masks(adj: Sequence[int], mask: int) -> list[int]:
             comp |= grow
         comps.append(comp)
     return comps
+
+
+def is_2_connected(adj: Sequence[int]) -> bool:
+    """True iff the graph with adjacency bitsets ``adj`` has n >= 3 and
+    deleting any one vertex leaves it connected (which makes the graph
+    itself connected)."""
+    full = (1 << len(adj)) - 1
+    return len(adj) >= 3 and all(
+        len(component_masks(adj, full ^ 1 << v)) == 1 for v in range(len(adj))
+    )
 
 
 class Graph:
@@ -120,11 +119,6 @@ class Graph:
         if self.n == 0:
             return 0
         return min(self.degrees())
-
-    def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and bool(self.adj[u] >> v & 1)
@@ -204,26 +198,6 @@ class Graph:
             if self.adj[u] & self.adj[v]:
                 return False
         return True
-
-    def components(self) -> ComponentPartition:
-        masks = component_masks(self.adj, (1 << self.n) - 1)
-        assignment = [0] * self.n
-        for cid, comp in enumerate(masks):
-            for v in bits(comp):
-                assignment[v] = cid
-        sizes = tuple(comp.bit_count() for comp in masks)
-        return ComponentPartition(tuple(assignment), sizes)
-
-    def is_connected(self) -> bool:
-        return len(component_masks(self.adj, (1 << self.n) - 1)) <= 1
-
-    def is_2_connected(self) -> bool:
-        """True iff n >= 3 and deleting any one vertex leaves a connected
-        graph (which makes the graph itself connected)."""
-        full = (1 << self.n) - 1
-        return self.n >= 3 and all(
-            len(component_masks(self.adj, full ^ 1 << v)) == 1 for v in range(self.n)
-        )
 
     # -- canonical form ---------------------------------------------------
 

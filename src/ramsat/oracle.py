@@ -24,7 +24,7 @@ import numpy as np
 
 from . import search
 from .colorings import enumerate_subtrees
-from .graphs import CANONICAL_MAX_N, Graph, GraphError, bits
+from .graphs import CANONICAL_MAX_N, Graph, GraphError, bits, complete
 from .saturation import is_kt_saturated
 from .search import EXHAUSTED, FOUND, SearchBudget
 
@@ -199,7 +199,7 @@ def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
     start = budget.nodes_left
     n = 1
     while True:
-        g = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+        g = complete(n)
         if g.m <= MAX_SCAN_EDGES:
             exists = len(brute_force_bad_colorings(g, k)) > 0
         else:

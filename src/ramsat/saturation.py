@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import search
 from .colorings import BadColoringCertificate, TwoColoring, make_certificate
-from .graphs import Graph, GraphError, bits, component_masks
+from .graphs import Graph, GraphError, bits, component_masks, is_2_connected
 from .search import EXHAUSTED, FOUND, NONE, SearchBudget
 
 SATURATED = "saturated"
@@ -144,10 +144,8 @@ def is_rmin_saturated(
     ext = search.extend_bad_colorings(g, k, budget)
     exhausted = ""
     if ext.status == EXHAUSTED:
-        exhausted = (
-            "enumeration of G's bad colorings exhausted its budget"
-            f" after {ext.stats.nodes} nodes"
-        )
+        what = "enumeration of G's bad colorings exhausted its budget"
+        exhausted = str(budget.ran_out(what, start))
     if ext.certificate is None:
         if exhausted:
             return SaturationReport(g.n, k, INCONCLUSIVE, None, (), (), exhausted)
@@ -174,10 +172,8 @@ def is_rmin_saturated(
             if res.status == FOUND:
                 failures.append((pair, res.certificate))
             elif res.status == EXHAUSTED and not exhausted:
-                exhausted = (
-                    f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
-                    f" after {start - budget.nodes_left} nodes"
-                )
+                what = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
+                exhausted = str(budget.ran_out(what, start))
     if failures:
         status = NOT_SATURATED
         reason = f"{len(failures)} non-edge(s) still admit a bad coloring"
@@ -366,9 +362,8 @@ def check_certificate_structure(
         d1, d2 = small
         complete_ok = all(radj[x] & d2 == d2 for x in bits(d1))
     if max_red and g.n >= k + 2:
-        red = cert.coloring.red_graph(g)
-        degree_ok = red.max_degree() <= g.n - 3
-        two_conn_ok = red.is_2_connected()
+        degree_ok = max(r.bit_count() for r in radj) <= g.n - 3
+        two_conn_ok = is_2_connected(radj)
     return CertificateStructureReport(
         len(small), len(small) <= 2, complete_ok, degree_ok, two_conn_ok
     )

@@ -137,6 +137,8 @@ class _Budget(Exception):
 
 class _Engine:
     def __init__(self, g: Graph, k: int, budget: SearchBudget | None):
+        if k < 2:
+            raise GraphError(f"k must be >= 2, got {k}")
         self.g = g
         self.k = k
         self.budget = SearchBudget() if budget is None else budget
@@ -445,16 +447,10 @@ class _Engine:
         return NONE if self.best is None else FOUND
 
 
-def _validate(g: Graph, k: int) -> None:
-    if k < 2:
-        raise GraphError(f"k must be >= 2, got {k}")
-
-
 def find_bad_coloring(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> FindResult:
     """Find any bad coloring, or prove none exists (exhaustive search)."""
-    _validate(g, k)
     engine = _Engine(g, k, budget)
     status = engine.run(engine.keep_first)
     return FindResult(status, engine.best, engine.stats)
@@ -467,10 +463,9 @@ def count_bad_colorings(
 
     Counts labeled colorings: no quotient by graph symmetry.
     """
-    _validate(g, k)
+    engine = _Engine(g, k, budget)
     if cap < 1:
         raise GraphError(f"cap must be >= 1, got {cap}")
-    engine = _Engine(g, k, budget)
     engine.cap = cap
     status = EXHAUSTED if engine.run(engine.tally) == EXHAUSTED else OK
     return CountResult(status, engine.count, engine.stats)
@@ -484,7 +479,6 @@ def find_max_red_bad_coloring(
     When the budget runs out, the best coloring so far rides along, but
     its optimality is not claimed.
     """
-    _validate(g, k)
     engine = _Engine(g, k, budget)
     status = engine.run(engine.keep_reddest, bound=True)
     return FindResult(status, engine.best, engine.stats)
@@ -498,7 +492,6 @@ def extend_bad_colorings(
     Stops once every non-edge has an extension, or after ``EXTEND_CAP``
     colorings.
     """
-    _validate(g, k)
     engine = _Engine(g, k, budget)
     engine.open = list(g.non_edges())
     status = engine.run(engine.extend)

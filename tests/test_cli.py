@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -239,6 +243,31 @@ def test_non_ascii_bytes_in_graph6_input(capsys, monkeypatch, tmp_path, source):
     code, out, err = check(b"D~\xff{\n")
     assert code == 2 and out == ""
     assert err == "error: invalid graph6 character '\\udcff' (byte offset 2)\n"
+
+
+@pytest.mark.parametrize(
+    "data, want",
+    [
+        (b"D~{\n\xff\n", (0, b"count = 0\n", b"")),
+        (
+            b"D~\xff{\n",
+            (2, b"", b"error: invalid graph6 character '\\udcff' (byte offset 2)\n"),
+        ),
+    ],
+)
+def test_stdin_bytes_under_a_strict_decoder(data, want):
+    # the interpreter's own stdin, with an error handler that raises
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsat.cli", "check", "count", "-", "--k", "3"],
+        input=data,
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 def test_sat_command(capsys):

@@ -12,7 +12,6 @@ from ramsat.colorings import (
     RED,
     BadColoringCertificate,
     TwoColoring,
-    blue_component_sizes,
     enumerate_subtrees,
     export_cnf,
     forced_blue_edges,
@@ -20,18 +19,23 @@ from ramsat.colorings import (
     make_certificate,
 )
 from ramsat.constructions import ConstructionSpec, build
-from ramsat.graphs import Graph, GraphError, complete, cycle, path, star
+from ramsat.graphs import (
+    Graph,
+    GraphError,
+    component_masks,
+    complete,
+    cycle,
+    path,
+    star,
+)
 from ramsat.search import find_bad_coloring
 
 
 def test_two_coloring_basics():
     g = path(3)
     c = TwoColoring([RED, BLUE])
-    assert c.red_edge_indices() == (0,)
-    assert c.blue_edge_indices() == (1,)
     assert c.red_count == 1
-    assert c.red_graph(g).edges == ((0, 1),)
-    assert c.blue_graph(g).edges == ((1, 2),)
+    assert c.red_adjacency(g) == [0b010, 0b001, 0]
     assert TwoColoring.from_blue_edges(g, [(2, 1)]) == c
     with pytest.raises(GraphError):
         TwoColoring([0, 2])
@@ -66,8 +70,9 @@ def test_is_bad_coloring_examples():
 def test_blue_component_sizes():
     g = cycle(5)
     c = TwoColoring.from_blue_edges(g, [(0, 1), (1, 2)])
-    assert blue_component_sizes(g, c) == (3, 1, 1)
-    assert blue_component_sizes(g, TwoColoring([RED] * g.m)) == (1,) * 5
+    assert make_certificate(g, 6, c).blue_component_sizes == (3, 1, 1)
+    all_red = TwoColoring([RED] * g.m)
+    assert make_certificate(g, 6, all_red).blue_component_sizes == (1,) * 5
 
 
 def test_blue_component_sizes_match_networkx():
@@ -79,9 +84,19 @@ def test_blue_component_sizes_match_networkx():
         coloring = TwoColoring(rng.choice((RED, BLUE)) for _ in range(g.m))
         blue = nx.Graph()
         blue.add_nodes_from(range(n))
-        blue.add_edges_from(g.edges[i] for i in coloring.blue_edge_indices())
-        want = sorted((len(c) for c in nx.connected_components(blue)), reverse=True)
-        assert blue_component_sizes(g, coloring) == tuple(want)
+        blue.add_edges_from(e for e, c in zip(g.edges, coloring.colors) if c == BLUE)
+        comps = sorted(nx.connected_components(blue), key=min)
+        blue_adj = [a & ~r for a, r in zip(g.adj, coloring.red_adjacency(g))]
+        masks = component_masks(blue_adj, (1 << n) - 1)
+        assert masks == [sum(1 << v for v in comp) for comp in comps]
+        red = nx.Graph(e for e, c in zip(g.edges, coloring.colors) if c == RED)
+        red_triangle_free = not any(nx.triangles(red).values())
+        # k = n + 2 bounds no blue component, so only a red triangle is bad
+        assert is_bad_coloring(g, n + 2, coloring) == red_triangle_free
+        if red_triangle_free:
+            want = sorted((len(c) for c in comps), reverse=True)
+            cert = make_certificate(g, n + 2, coloring)
+            assert cert.blue_component_sizes == tuple(want)
 
 
 def test_certificate_verification():

@@ -6,19 +6,21 @@ import random
 import networkx as nx
 import pytest
 
+from ramsat.colorings import RED
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
     CANONICAL_MAX_N,
-    ComponentPartition,
     Graph,
     Graph6Error,
     GraphError,
     complete,
     complete_bipartite,
+    component_masks,
     cycle,
     disjoint_union,
     empty,
     from_graph6,
+    is_2_connected,
     path,
     petersen,
     star,
@@ -70,10 +72,11 @@ def test_validation_errors():
 def test_degenerate_graphs_are_legal():
     g = Graph(0)
     assert g.m == 0
-    assert g.components() == ComponentPartition((), ())
+    assert component_masks(g.adj, 0) == []
+    assert not is_2_connected(g.adj)
     assert g.is_triangle_free()
     assert g.canonical_form() == b"\x00"
-    assert empty(3).components().sizes == (1, 1, 1)
+    assert component_masks(empty(3).adj, 0b111) == [0b001, 0b010, 0b100]
 
 
 def test_with_without_edge():
@@ -132,27 +135,29 @@ def test_triangles_against_naive_loop():
 
 def test_components():
     g = disjoint_union(complete(2), complete(3))
-    assert sorted(g.components().sizes) == [2, 3]
-    comp = g.components()
-    assert sum(comp.sizes) == g.n
-    # ids are contiguous, ordered by smallest contained vertex
-    assert comp.assignment[0] == 0
+    # ordered by smallest contained vertex
+    assert component_masks(g.adj, 0b11111) == [0b00011, 0b11100]
+    # only the vertices in the mask count: dropping 2 splits the path
+    assert component_masks(path(5).adj, 0b11011) == [0b00011, 0b11000]
     # blue subgraph of the geven(18) reference coloring: components <= 3
     b = build(ConstructionSpec.geven(18))
-    blue = b.reference_coloring.blue_graph(b.graph)
-    assert max(blue.components().sizes) <= 3
+    radj = b.reference_coloring.red_adjacency(b.graph)
+    blue = [a & ~r for a, r in zip(b.graph.adj, radj)]
+    comps = component_masks(blue, (1 << b.graph.n) - 1)
+    assert max(comp.bit_count() for comp in comps) <= 3
 
 
 def test_component_count_never_grows_under_edge_addition():
     rng = random.Random(7)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8))
-        before = len(g.components().sizes)
+        full = (1 << g.n) - 1
+        before = len(component_masks(g.adj, full))
         non_edges = list(g.non_edges())
         if not non_edges:
             continue
         u, v = rng.choice(non_edges)
-        assert len(g.with_edge(u, v).components().sizes) <= before
+        assert len(component_masks(g.with_edge(u, v).adj, full)) <= before
 
 
 def test_is_triangle_free():
@@ -160,7 +165,9 @@ def test_is_triangle_free():
     assert not complete(3).is_triangle_free()
     assert petersen().is_triangle_free()
     gen = build(ConstructionSpec.general(5, 20))
-    assert gen.reference_coloring.red_graph(gen.graph).is_triangle_free()
+    colors = gen.reference_coloring.colors
+    red = Graph(gen.graph.n, (e for e, c in zip(gen.graph.edges, colors) if c == RED))
+    assert red.is_triangle_free()
 
 
 def brute_force_is_2_connected(g):
@@ -181,15 +188,15 @@ def brute_force_is_2_connected(g):
 
 
 def test_is_2_connected():
-    assert cycle(4).is_2_connected()
-    assert not star(5).is_2_connected()  # center is a cut vertex
-    assert petersen().is_2_connected()
-    assert not path(4).is_2_connected()
-    assert not disjoint_union(complete(3), complete(3)).is_2_connected()
+    assert is_2_connected(cycle(4).adj)
+    assert not is_2_connected(star(5).adj)  # center is a cut vertex
+    assert is_2_connected(petersen().adj)
+    assert not is_2_connected(path(4).adj)
+    assert not is_2_connected(disjoint_union(complete(3), complete(3)).adj)
     rng = random.Random(99)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8))
-        assert g.is_2_connected() == brute_force_is_2_connected(g)
+        assert is_2_connected(g.adj) == brute_force_is_2_connected(g)
 
 
 def reference_refinement_colors(g):
@@ -275,14 +282,9 @@ def test_connectivity_matches_networkx():
     for g in graphs:
         h = as_nx(g)
         comps = sorted(nx.connected_components(h), key=min)
-        assignment = [0] * g.n
-        for cid, comp in enumerate(comps):
-            for v in comp:
-                assignment[v] = cid
-        sizes = tuple(len(comp) for comp in comps)
-        assert g.components() == ComponentPartition(tuple(assignment), sizes)
-        assert g.is_connected() == (len(comps) <= 1)
-        assert g.is_2_connected() == (g.n >= 3 and nx.is_biconnected(h))
+        masks = component_masks(g.adj, (1 << g.n) - 1)
+        assert masks == [sum(1 << v for v in comp) for comp in comps]
+        assert is_2_connected(g.adj) == (g.n >= 3 and nx.is_biconnected(h))
 
 
 def test_canonical_form_separates_nonisomorphic_pairs():

@@ -3,10 +3,11 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from ramsat import search
-from ramsat.colorings import BadColoringCertificate, TwoColoring
+from ramsat.colorings import RED, BadColoringCertificate, TwoColoring
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
     Graph,
@@ -336,6 +337,29 @@ def test_check_certificate_structure():
         check_certificate_structure(
             g, 3, BadColoringCertificate(TwoColoring([0] * g.m), (6,))
         )
+
+
+def test_max_red_clause_matches_networkx():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(150):
+        k = rng.randint(3, 5)
+        n = rng.randint(k + 2, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randint(n, len(pairs))))
+        res = find_max_red_bad_coloring(g, k)
+        if not res.found:
+            continue
+        rep = check_certificate_structure(g, k, res.certificate, max_red=True)
+        colors = res.certificate.coloring.colors
+        red = nx.Graph()
+        red.add_nodes_from(range(n))
+        red.add_edges_from(e for e, c in zip(g.edges, colors) if c == RED)
+        assert rep.max_red_degree_ok == (max(d for _, d in red.degree) <= n - 3)
+        assert rep.red_two_connected_ok == nx.is_biconnected(red)
+        seen.add((rep.max_red_degree_ok, rep.red_two_connected_ok))
+    # every combination of the two clauses occurs among the draws
+    assert len(seen) == 4
 
 
 def test_small_component_clause_with_two_components():
