@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "GraphError",
@@ -24,9 +26,13 @@ __all__ = [
     "petersen",
     "disjoint_union",
     "from_graph6",
+    "canonical_forms",
 ]
 
 CANONICAL_MAX_N = 10
+# rows canonicalised together: enough to spread numpy's per-call cost,
+# few enough to keep the batch's arrays small
+CANONICAL_BATCH = 512
 
 
 class GraphError(ValueError):
@@ -80,7 +86,7 @@ def is_2_connected(adj: Sequence[int]) -> bool:
 class Graph:
     """Immutable simple graph: build once, query freely (thread-safe reads)."""
 
-    __slots__ = ("n", "adj", "edges", "_edge_index", "_tri_cache")
+    __slots__ = ("n", "adj", "edges", "_edge_index", "_tri_cache", "_form")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -102,6 +108,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._tri_cache: tuple | None = None
+        self._form: bytes | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -164,8 +171,7 @@ class Graph:
     def are_twins(self, u: int, v: int) -> bool:
         """True iff u and v agree off {u, v}, so that swapping them is an
         automorphism."""
-        off = ~(1 << u | 1 << v)
-        return self.adj[u] & off == self.adj[v] & off
+        return _are_twins(self.adj, u, v)
 
     def common_neighbor_count(self, u: int, v: int) -> int:
         return (self.adj[u] & self.adj[v]).bit_count()
@@ -202,67 +208,17 @@ class Graph:
     # -- canonical form ---------------------------------------------------
 
     def canonical_form(self) -> bytes:
-        """Isomorphism-invariant byte encoding; supported for n <= 10.
+        """Isomorphism-invariant byte encoding; supported for n <= 10
+        (CANONICAL_MAX_N).
 
-        Vertices are first partitioned by iterated neighbor-color
-        refinement; the form is the minimum upper-triangle bitstring over
-        all orderings that list the refinement classes in canonical order.
-        Equal for isomorphic graphs, distinct otherwise.
+        A one-row ``canonical_forms`` call, made once and kept on the
+        graph, which is immutable; ``oracle.enumerate_graphs`` stores the
+        form its batch computed on each representative. Equal for
+        isomorphic graphs, distinct otherwise.
         """
-        n = self.n
-        if n > CANONICAL_MAX_N:
-            raise GraphError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got {n}")
-        if n == 0:
-            return b"\x00"
-        colors = _refinement_colors(self)
-        nclasses = max(colors) + 1
-        classes: list[list[int]] = [[] for _ in range(nclasses)]
-        for v, c in enumerate(colors):
-            classes[c].append(v)
-        # class_end[level]: first position past the class placed at level
-        class_end: list[int] = []
-        for cls in classes:
-            class_end.extend([len(class_end) + len(cls)] * len(cls))
-
-        adj = self.adj
-        cur = [0] * n
-        best: list[int] | None = None
-
-        # rest: (adjacency to the placed prefix, v) for each unplaced v, in
-        # class order, so the current class's candidates lead it
-        def rec(level: int, tight: bool, rest: list[tuple[int, int]]) -> bool:
-            nonlocal best
-            if level == n:
-                best = cur[:level]
-                return True
-            items = sorted(rest[: class_end[level] - level])
-            updated = False
-            tried: list[tuple[int, int]] = []
-            for chunk, v in items:
-                if best is not None and tight and chunk > best[level]:
-                    break
-                # skip v when a tried twin u gives an isomorphic continuation
-                if any(tchunk == chunk and self.are_twins(u, v) for tchunk, u in tried):
-                    continue
-                tried.append((chunk, v))
-                if best is None:
-                    child_tight = True
-                else:
-                    child_tight = tight and chunk == best[level]
-                cur[level] = chunk
-                child = [(c << 1 | (adj[u] >> v & 1), u) for c, u in rest if u != v]
-                if rec(level + 1, child_tight, child):
-                    updated = True
-                    tight = True  # best now extends the current prefix
-            return updated
-
-        rec(0, True, [(0, v) for cls in classes for v in cls])
-        assert best is not None
-        acc = 0
-        for level, chunk in enumerate(best):
-            acc = (acc << level) | chunk
-        nbits = n * (n - 1) // 2
-        return bytes([n]) + acc.to_bytes((nbits + 7) // 8 or 1, "big")
+        if self._form is None:
+            self._form = canonical_forms([self.adj])[0]
+        return self._form
 
     # -- serialization ----------------------------------------------------
 
@@ -313,38 +269,150 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _refinement_colors(g: Graph) -> list[int]:
-    """Stable neighbor-color refinement, canonically ranked at every round.
+def canonical_forms(adjs) -> list[bytes]:
+    """Canonical forms of graphs given as rows of adjacency bitsets, all of
+    one order n <= CANONICAL_MAX_N.
 
-    A vertex's key is its color, then one nibble per color class holding 15
-    minus its neighbor count in that class. Vertices of one color share a
-    degree, so the keys rank them as their sorted neighbor-color tuples
-    would: more neighbors in a lower class sorts first. Counts stay below
-    16 because n <= CANONICAL_MAX_N.
+    Vertices are first partitioned by iterated neighbor-color refinement,
+    computed for a whole batch in numpy; the form is the minimum
+    upper-triangle bitstring over all orderings that list the refinement
+    classes in canonical order. A row whose refinement is discrete has one
+    such ordering; the others go through a pruned search. Rows are
+    processed CANONICAL_BATCH at a time, which bounds the memory held.
     """
-    colors = _rank(g.degrees())
-    nclasses = len(set(colors))
-    while True:
-        masks = [0] * nclasses
-        for v, c in enumerate(colors):
-            masks[c] |= 1 << v
-        keys = []
-        for c, av in zip(colors, g.adj):
-            key = c
-            for mask in masks:
-                key = key << 4 | (15 - (av & mask).bit_count())
-            keys.append(key)
-        colors = _rank(keys)
-        count = len(set(colors))
-        # a discrete coloring cannot split further
-        if count == nclasses or count == g.n:
-            return colors
-        nclasses = count
+    rows = np.asarray(adjs, dtype=np.int64)
+    if rows.size == 0:
+        return [b"\x00"] * len(rows)
+    n = rows.shape[1]
+    if n > CANONICAL_MAX_N:
+        raise GraphError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got {n}")
+    forms: list[bytes] = []
+    for start in range(0, len(rows), CANONICAL_BATCH):
+        chunk = rows[start : start + CANONICAL_BATCH]
+        colors = _refinement_colors(chunk)
+        # order[r, i]: the vertex placed at position i of row r
+        order = np.empty_like(colors)
+        positions = np.broadcast_to(np.arange(n), colors.shape)
+        np.put_along_axis(order, colors, positions, axis=1)
+        for r in np.flatnonzero(colors.max(axis=1) < n - 1):
+            order[r] = _search_order(chunk[r].tolist(), colors[r].tolist())
+        forms += _packed_forms(chunk, order)
+    return forms
 
 
-def _rank(keys) -> list[int]:
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+def _refinement_colors(rows: np.ndarray) -> np.ndarray:
+    """Stable neighbor-color refinement of each row of adjacency bitsets,
+    canonically ranked at every round.
+
+    A vertex's key is its color, then one digit per color class: the class
+    size minus the vertex's neighbor count there. Vertices of one color
+    share a degree, so the keys rank them as their sorted neighbor-color
+    tuples would: more neighbors in a lower class sorts first. A digit's
+    radix is its class size plus one, so keys stay below n * 2^n in size
+    and int64 ranks them exactly far past CANONICAL_MAX_N. The class sizes
+    add the same amount to every key of a row, so they are left out: a key
+    is its color times the product of all radixes, minus the place values
+    of its neighbors' colors. A row stops when a round splits no class or
+    leaves every vertex its own class.
+    """
+    n = rows.shape[1]
+    adj = rows[:, :, None] >> np.arange(n) & 1
+    colors, nclasses = _row_ranks(adj.sum(axis=2))
+    live = np.flatnonzero(nclasses < n)
+    while len(live):
+        old = colors[live]
+        radix = (old[:, :, None] == np.arange(old.max() + 1)).sum(axis=1) + 1
+        # span[:, j]: product of the radixes of classes j and after
+        span = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]
+        place = np.take_along_axis(span // radix, old, axis=1)
+        keys = old * span[:, :1] - (adj[live] @ place[:, :, None])[:, :, 0]
+        colors[live], split = _row_ranks(keys)
+        going = (split > nclasses[live]) & (split < n)
+        live = live[going]
+        nclasses[live] = split[going]
+    return colors
+
+
+def _row_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rank of each key among the distinct keys of its row, and the
+    number of distinct keys per row."""
+    n = keys.shape[1]
+    equal = keys[:, :, None] == keys[:, None, :]
+    # a key counts at the first vertex that has it
+    first = ~(equal & np.tri(n, k=-1, dtype=bool)).any(axis=2)
+    below = keys[:, None, :] < keys[:, :, None]
+    return (below & first[:, None, :]).sum(axis=2), first.sum(axis=1)
+
+
+def _packed_forms(rows: np.ndarray, order: np.ndarray) -> list[bytes]:
+    """The order n, then the columns of each row's adjacency matrix in the
+    given vertex order above the diagonal, first bit first, right-aligned
+    in whole bytes (at least one)."""
+    count, n = rows.shape
+    placed = np.take_along_axis(rows, order, axis=1)
+    later, earlier = np.tril_indices(n, -1)
+    nbits = len(later)
+    pad = np.zeros((count, -nbits % 8 if nbits else 8), dtype=np.int64)
+    bits = np.concatenate([pad, placed[:, later] >> order[:, earlier] & 1], axis=1)
+    return [bytes([n]) + bytes(form) for form in np.packbits(bits, axis=1)]
+
+
+def _are_twins(adj: Sequence[int], u: int, v: int) -> bool:
+    off = ~(1 << u | 1 << v)
+    return adj[u] & off == adj[v] & off
+
+
+def _search_order(adj: list[int], colors: list[int]) -> list[int]:
+    """The vertex order that gives the minimum form among those listing
+    the color classes in order, by a search pruned against the best prefix
+    and by twin swaps."""
+    n = len(adj)
+    nclasses = max(colors) + 1
+    classes: list[list[int]] = [[] for _ in range(nclasses)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    # class_end[level]: first position past the class placed at level
+    class_end: list[int] = []
+    for cls in classes:
+        class_end.extend([len(class_end) + len(cls)] * len(cls))
+
+    cur = [0] * n
+    placed = [0] * n
+    best: list[int] | None = None
+    best_order: list[int] = []
+
+    # rest: (adjacency to the placed prefix, v) for each unplaced v, in
+    # class order, so the current class's candidates lead it
+    def rec(level: int, tight: bool, rest: list[tuple[int, int]]) -> bool:
+        nonlocal best, best_order
+        if level == n:
+            best = cur[:]
+            best_order = placed[:]
+            return True
+        items = sorted(rest[: class_end[level] - level])
+        updated = False
+        tried: list[tuple[int, int]] = []
+        for chunk, v in items:
+            if best is not None and tight and chunk > best[level]:
+                break
+            # skip v when a tried twin u gives an isomorphic continuation
+            if any(tchunk == chunk and _are_twins(adj, u, v) for tchunk, u in tried):
+                continue
+            tried.append((chunk, v))
+            if best is None:
+                child_tight = True
+            else:
+                child_tight = tight and chunk == best[level]
+            cur[level] = chunk
+            placed[level] = v
+            child = [(c << 1 | (adj[u] >> v & 1), u) for c, u in rest if u != v]
+            if rec(level + 1, child_tight, child):
+                updated = True
+                tight = True  # best now extends the current prefix
+        return updated
+
+    rec(0, True, [(0, v) for cls in classes for v in cls])
+    return best_order
 
 
 # -- graph6 codec ----------------------------------------------------------

@@ -9,9 +9,12 @@ never consult the search engine, so engine results can be checked against
 them; only family_ramsey_number calls it, on complete graphs past the scan
 cap (K_8 and K_9 at k = 5), so criterion 7 of ``verify`` (k = 3, 4) rests
 on scans alone. Graph enumeration is orderly generation with
-canonical-form rejection that skips extensions a twin swap of the parent
-maps to an earlier one, capped at 7 vertices for all graphs and at 10 for
-triangle-free ones; larger orders come in through external graph6 streams.
+canonical-form rejection: each level's one-vertex extensions are built as
+adjacency rows, those a twin swap of the parent maps to an earlier one are
+skipped, and the rest go through ``graphs.canonical_forms`` in batches;
+each representative keeps the form its batch computed. It is capped at 7
+vertices for all graphs and at 10 for triangle-free ones; larger orders
+come in through external graph6 streams.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ import numpy as np
 
 from . import search
 from .colorings import enumerate_subtrees
-from .graphs import CANONICAL_MAX_N, Graph, GraphError, bits, complete
+from .graphs import (
+    CANONICAL_BATCH,
+    CANONICAL_MAX_N,
+    Graph,
+    GraphError,
+    bits,
+    canonical_forms,
+    complete,
+)
 from .saturation import is_kt_saturated
 from .search import EXHAUSTED, FOUND, SearchBudget
 
@@ -61,42 +72,47 @@ def enumerate_graphs(n: int, *, triangle_free: bool = False) -> tuple[Graph, ...
         if triangle_free
         else enumerate_graphs(n - 1)
     )
+    per_parent = [_extension_subsets(g, triangle_free) for g in parents]
+    owners = np.repeat(np.arange(len(parents)), [len(s) for s in per_parent])
+    subsets = np.concatenate(per_parent)
+    base = np.array([g.adj for g in parents], dtype=np.int64)
     seen: dict[bytes, Graph] = {}
-    for g in parents:
-        base_edges = g.edges
-        for subset in _twin_ordered_subsets(g):
-            if triangle_free and any(g.adj[u] & subset for u in bits(subset)):
-                continue
-            edges = base_edges + tuple(
-                (u, n - 1) for u in range(n - 1) if subset >> u & 1
-            )
-            h = Graph(n, edges)
-            key = h.canonical_form()
-            if key not in seen:
-                seen[key] = h
+    # each candidate is its parent's rows plus vertex n-1 joined to a subset
+    for start in range(0, len(subsets), CANONICAL_BATCH):
+        owner = owners[start : start + CANONICAL_BATCH]
+        batch = subsets[start : start + CANONICAL_BATCH]
+        joined = base[owner] | (batch[:, None] >> np.arange(n - 1) & 1) << n - 1
+        rows = np.concatenate([joined, batch[:, None]], axis=1)
+        for i, s, form in zip(owner.tolist(), batch.tolist(), canonical_forms(rows)):
+            if form not in seen:
+                g = parents[i]
+                h = Graph(n, g.edges + tuple((u, n - 1) for u in bits(s)))
+                h._form = form  # what h.canonical_form() would compute
+                seen[form] = h
     return tuple(g for _, g in sorted(seen.items()))
 
 
-def _twin_ordered_subsets(g: Graph) -> list[int]:
+def _extension_subsets(g: Graph, triangle_free: bool) -> np.ndarray:
     """Neighborhoods for a new vertex joined to g, ascending, that take the
-    lowest members of each twin class of g.
+    lowest members of each twin class of g and, with ``triangle_free``,
+    are independent sets of g.
 
     For twins u < v of g, a subset holding v but not u gives the same
     class as the smaller subset with v swapped for u, which enumeration
     reaches first; skipping it keeps every first representative.
     """
-    # each vertex paired with the nearest lower twin it needs in the subset
-    needs = []
+    subsets = np.arange(1 << g.n, dtype=np.int64)
+    keep = np.ones(len(subsets), dtype=bool)
     for v in range(1, g.n):
+        # v needs the nearest lower twin it has
         for u in range(v - 1, -1, -1):
             if g.are_twins(u, v):
-                needs.append((1 << v, 1 << u))
+                keep &= (subsets >> v & 1 == 0) | (subsets >> u & 1 == 1)
                 break
-    return [
-        subset
-        for subset in range(1 << g.n)
-        if all(subset & u or not subset & v for v, u in needs)
-    ]
+    if triangle_free:
+        for u, adj in enumerate(g.adj):
+            keep &= (subsets >> u & 1 == 0) | (subsets & adj == 0)
+    return subsets[keep]
 
 
 # red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1
@@ -156,7 +172,9 @@ def compute_sat(n: int, k: int) -> SatResult:
     with the brute-force coloring oracle.
 
     Each class is scanned once; every G+uv is another class on n vertices,
-    looked up by canonical form.
+    looked up by canonical form. The lookups run in rounds, one batch of
+    forms per round, so that each class stops at its first G+uv that has
+    a bad coloring.
     """
     if not 0 <= n <= MAX_ENUM_N:
         raise GraphError(f"compute_sat caps at n <= {MAX_ENUM_N}, got {n}")
@@ -166,12 +184,33 @@ def compute_sat(n: int, k: int) -> SatResult:
     has_bad = {
         g.canonical_form(): len(brute_force_bad_colorings(g, k)) > 0 for g in classes
     }
+    saturated = [False] * len(classes)
+    # classes with a bad coloring whose G+uv tried so far have none, each
+    # with the non-edges it has left to try
+    blocked = [
+        (i, g.non_edges())
+        for i, (g, bad) in enumerate(zip(classes, has_bad.values()))
+        if bad
+    ]
+    while blocked:
+        tried, rows = [], []
+        for i, todo in blocked:
+            pair = next(todo, None)
+            if pair is None:
+                saturated[i] = True
+                continue
+            u, v = pair
+            row = list(classes[i].adj)
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+            tried.append((i, todo))
+            rows.append(row)
+        forms = canonical_forms(rows)
+        blocked = [t for t, form in zip(tried, forms) if not has_bad[form]]
     best: int | None = None
     extremal: list[str] = []
-    for g, bad in zip(classes, has_bad.values()):
-        if not bad or any(
-            has_bad[g.with_edge(u, v).canonical_form()] for u, v in g.non_edges()
-        ):
+    for g, sat in zip(classes, saturated):
+        if not sat:
             continue
         if best is None or g.m < best:
             best = g.m

@@ -4,15 +4,18 @@ import hashlib
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from ramsat.colorings import RED
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
+    CANONICAL_BATCH,
     CANONICAL_MAX_N,
     Graph,
     Graph6Error,
     GraphError,
+    canonical_forms,
     complete,
     complete_bipartite,
     component_masks,
@@ -24,8 +27,8 @@ from ramsat.graphs import (
     path,
     petersen,
     star,
-    _rank,
     _refinement_colors,
+    _search_order,
 )
 from ramsat.oracle import enumerate_graphs
 
@@ -199,6 +202,11 @@ def test_is_2_connected():
         assert is_2_connected(g.adj) == brute_force_is_2_connected(g)
 
 
+def _rank(keys):
+    order = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
 def reference_refinement_colors(g):
     """Neighbor-color refinement keyed by sorted neighbor-color tuples."""
     colors = _rank(g.degrees())
@@ -215,18 +223,98 @@ def reference_refinement_colors(g):
         nclasses = len(set(colors))
 
 
+def reference_canonical_form(g):
+    """The form from the reference refinement and the pruned search, one
+    graph at a time, packed bit by bit."""
+    if g.n == 0:
+        return b"\x00"
+    order = _search_order(list(g.adj), reference_refinement_colors(g))
+    bits = [g.has_edge(order[v], order[u]) for v in range(g.n) for u in range(v)]
+    value = int("".join("01"[b] for b in bits) or "0", 2)
+    return bytes([g.n]) + value.to_bytes((len(bits) + 7) // 8 or 1, "big")
+
+
+def shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
 def test_refinement_colors_match_reference():
     rng = random.Random(17)
     samples = [complete(CANONICAL_MAX_N), star(CANONICAL_MAX_N), petersen()]
     for n in range(8):
         for g in enumerate_graphs(n):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            samples += [g, g.relabeled(perm)]
+            samples += [g, shuffled(rng, g)]
     for _ in range(300):
         samples.append(random_graph(rng, rng.randint(1, CANONICAL_MAX_N)))
+    # keys rank exactly up to 16 vertices, past the canonical-form cap
+    for _ in range(100):
+        samples.append(random_graph(rng, rng.randint(CANONICAL_MAX_N + 1, 16)))
+    samples += [cycle(16), complete_bipartite(7, 9)]
+    samples.append(disjoint_union(petersen(), cycle(6)))
     for g in samples:
-        assert _refinement_colors(g) == reference_refinement_colors(g), g.to_graph6()
+        colors = _refinement_colors(np.array([g.adj], dtype=np.int64))
+        assert colors[0].tolist() == reference_refinement_colors(g), g.to_graph6()
+
+
+def symmetric_families(n):
+    family = [empty(n), complete(n)]
+    family += [complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+    if n >= 3:
+        family.append(cycle(n))
+    if n == 10:
+        family.append(petersen())
+    if n <= 8:
+        family += enumerate_graphs(n, triangle_free=True)
+    return family
+
+
+@pytest.mark.parametrize("n", range(CANONICAL_MAX_N + 1))
+def test_canonical_forms_match_reference(n):
+    rng = random.Random(100 + n)
+    batch = [random_graph(rng, n) for _ in range(40)]
+    for g in symmetric_families(n):
+        batch += [g, shuffled(rng, g)]
+    forms = canonical_forms([g.adj for g in batch])
+    assert forms == [reference_canonical_form(g) for g in batch]
+    assert forms == [Graph(g.n, g.edges).canonical_form() for g in batch]
+
+
+def test_canonical_forms_across_chunks():
+    # discrete and non-discrete rows mixed over more than one chunk
+    rng = random.Random(23)
+    batch = [random_graph(rng, 7) for _ in range(CANONICAL_BATCH + 200)]
+    adjs = np.array([g.adj for g in batch], dtype=np.int64)
+    discrete = _refinement_colors(adjs).max(axis=1) == 6
+    assert 0 < discrete.sum() < len(batch)
+    forms = canonical_forms(adjs)
+    assert forms == [reference_canonical_form(g) for g in batch]
+    assert forms[CANONICAL_BATCH:] == canonical_forms(adjs[CANONICAL_BATCH:])
+
+
+def test_canonical_forms_of_ten_singleton_classes():
+    # the round that splits a row into 10 classes ranks the widest keys
+    # that occur below the cap
+    rng = random.Random(29)
+    batch = []
+    while len(batch) < 30:
+        g = random_graph(rng, 10)
+        if len(set(reference_refinement_colors(g))) == 10:
+            batch += [g, shuffled(rng, g)]
+    colors = _refinement_colors(np.array([g.adj for g in batch], dtype=np.int64))
+    assert (np.sort(colors, axis=1) == np.arange(10)).all()
+    assert canonical_forms([g.adj for g in batch]) == [
+        reference_canonical_form(g) for g in batch
+    ]
+    assert len(set(canonical_forms([g.adj for g in batch]))) == len(batch) // 2
+
+
+def test_canonical_forms_limits():
+    assert canonical_forms([]) == []
+    assert canonical_forms([(), ()]) == [b"\x00", b"\x00"]
+    with pytest.raises(GraphError):
+        canonical_forms([complete(CANONICAL_MAX_N + 1).adj])
 
 
 def test_canonical_form_examples():
