@@ -10,6 +10,7 @@ deterministic: identical inputs and budgets produce byte-identical output
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,7 +65,50 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for dict keys that
+    are str, written without the stdlib's pure-Python indent encoder, which
+    is most of a JSON command's time on large reports."""
+    return _write_json(obj, "") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# exact types, so bool is not taken for int; a subclass goes to json.dumps
+_JSON_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(obj, pad: str) -> str:
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            scalar = _JSON_SCALARS.get(type(value))
+            text = scalar(value) if scalar else _write_json(value, inner)
+            items.append(f"{_encode_str(key)}: {text}")
+        brackets = "{}"
+    elif type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        try:  # the bulk of a payload: [u, v] pairs and [u, v, color] edges
+            items = [_JSON_SCALARS[type(item)](item) for item in obj]
+        except KeyError:
+            items = [_write_json(item, inner) for item in obj]
+        brackets = "[]"
+    else:
+        # floats and whatever else the CLI does not emit; a JSON string never
+        # holds a raw newline, so re-indenting by replacement is exact
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
 
 
 # -- construct ----------------------------------------------------------------
@@ -311,7 +355,10 @@ def _add_budget_args(p) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every ``main`` call
+    of the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ramsat",
         description=(
@@ -372,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, OSError) as exc:

@@ -176,7 +176,9 @@ def compute_sat(n: int, k: int) -> SatResult:
     forms per round, so that each class stops at its first G+uv that has
     a bad coloring.
     """
-    if not 0 <= n <= MAX_ENUM_N:
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
+    if n > MAX_ENUM_N:
         raise GraphError(f"compute_sat caps at n <= {MAX_ENUM_N}, got {n}")
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")

@@ -1,17 +1,19 @@
 """CLI surface: subcommands, exit codes, output determinism."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from ramsat import oracle, verify
+from ramsat import cli, oracle, verify
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import ConstructionSpec, build
@@ -276,6 +278,14 @@ def test_sat_command(capsys):
     assert "sat(n=5, k=4) = 10" in out
 
 
+def test_sat_rejects_a_negative_order(capsys):
+    assert run(capsys, ["sat", "--n", "-1", "--k", "4"]) == (
+        2,
+        "",
+        "error: n must be >= 0, got -1\n",
+    )
+
+
 def test_export(capsys, geven18_file, tmp_path):
     code, out, _ = run(capsys, ["export", "cnf", geven18_file, "--k", "4"])
     assert code == 0 and "p cnf 45 " in out
@@ -299,6 +309,87 @@ def test_malformed_input_is_usage_error(capsys, tmp_path):
     p.write_text("garbage\x01\n")
     code, _, err = run(capsys, ["check", "arrow", str(p), "--k", "4"])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "godd", "--n", "19", "--coloring", "--format", "json"],
+        ["construct", "general", "--k", "5", "--n", "20", "--format", "json"],
+        ["sat", "--n", "5", "--k", "4", "--format", "json"],
+        # star(10) is not saturated, so its report lists failures
+        ["check", "saturated", "STAR10", "--k", "4", "--format", "json"],
+    ]
+    + [
+        ["check", predicate, "GEVEN18", "--k", "4", "--format", "json"] + budget
+        for predicate in ("arrow", "bad-coloring", "count", "minimal", "saturated")
+        for budget in ([], ["--max-nodes", "0"])
+    ],
+)
+def test_json_output_is_stdlib_indent_2(capsys, tmp_path, geven18_file, argv):
+    star10 = tmp_path / "star10.g6"
+    star10.write_text(star(10).to_graph6() + "\n")
+    files = {"GEVEN18": geven18_file, "STAR10": str(star10)}
+    code, out, _ = run(capsys, [files.get(a, a) for a in argv])
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if "STAR10" in argv:
+        assert code == 1 and payload["failures"]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}], "d": [{}]},
+        [[[]]],
+        (1, (2, 3), [4, (5,)]),
+        [True, False, 0, 1, None],
+        {"t": True, "f": False, "zero": 0, "one": 1, "none": None},
+        [-1, -(2**63) - 1, 2**63, 2**100],
+        ["caf\u00e9", "\u2264\U0001f600", 'say "hi"', "back\\slash"],
+        ["\x00\t\n\x1f\x7f"],
+        {"caf\u00e9": 1, '"': 2, "\\": 3, "\n\x01": 4, "": 5, "b": 6, "B": 7},
+        {"edges": [[0, 1, "red"], [0, 2, "blue"]], "sizes": [3, 1], "x": {"y": [[2]]}},
+        1.5,
+        [0.1, {"x": -2.5e-300}, [1, 2.0]],
+        {"inf": float("inf"), "mixed": [1, "a", None, 1e100]},
+        {"outer": [OrderedDict(b=1, a=[2, {}])]},
+        "plain",
+        7,
+        None,
+    ],
+)
+def test_json_writer_matches_stdlib(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch, geven18_file):
+    builds = 0
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        nonlocal builds
+        builds += 1
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    argv = ["check", "count", geven18_file, "--k", "4"]
+    alone = run(capsys, argv)
+    assert alone == (0, "count = 1\n", "")
+    assert run(capsys, argv) == alone
+    assert builds == 1
+
+    # a usage error leaves nothing behind in the shared parser
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json", "--max-nodes", "1e3"])
+    assert exc.value.code == 2
+    assert "invalid int value: '1e3'" in capsys.readouterr().err
+    assert run(capsys, argv) == alone
+    assert builds == 1
 
 
 def test_output_is_deterministic(capsys, geven18_file):
