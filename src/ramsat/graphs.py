@@ -106,7 +106,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        self._edge_index: dict[tuple[int, int], int] | None = None
         self._tri_cache: tuple | None = None
         self._form: bytes | None = None
 
@@ -137,9 +137,16 @@ class Graph:
         if u > v:
             u, v = v, u
         try:
-            return self._edge_index[(u, v)]
+            return self._edge_indices()[(u, v)]
         except KeyError:
             raise GraphError(f"({u}, {v}) is not an edge") from None
+
+    def _edge_indices(self) -> dict[tuple[int, int], int]:
+        """Each edge's index, built on first use: most graphs, such as
+        enumerated class representatives, never look an edge up."""
+        if self._edge_index is None:
+            self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        return self._edge_index
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
         """Non-adjacent pairs u < v in lexicographic order."""
@@ -188,6 +195,7 @@ class Graph:
         if self._tri_cache is None:
             vtris = []
             etris = []
+            index = self._edge_indices()
             for i, (u, v) in enumerate(self.edges):
                 common = self.adj[u] & self.adj[v]
                 # keep w > v so each triangle is reported once
@@ -195,7 +203,7 @@ class Graph:
                 for off in bits(common):
                     w = v + off + 1
                     vtris.append((u, v, w))
-                    etris.append((i, self._edge_index[(u, w)], self._edge_index[(v, w)]))
+                    etris.append((i, index[(u, w)], index[(v, w)]))
             self._tri_cache = (tuple(vtris), tuple(etris))
         return self._tri_cache
 
@@ -273,12 +281,13 @@ def canonical_forms(adjs) -> list[bytes]:
     """Canonical forms of graphs given as rows of adjacency bitsets, all of
     one order n <= CANONICAL_MAX_N.
 
-    Vertices are first partitioned by iterated neighbor-color refinement,
-    computed for a whole batch in numpy; the form is the minimum
-    upper-triangle bitstring over all orderings that list the refinement
-    classes in canonical order. A row whose refinement is discrete has one
-    such ordering; the others go through a pruned search. Rows are
-    processed CANONICAL_BATCH at a time, which bounds the memory held.
+    Vertices are first partitioned by iterated neighbor-color refinement;
+    the form is the minimum upper-triangle bitstring over all orderings
+    that list the refinement classes in canonical order. Both steps run
+    for a whole batch in numpy: ``_canonical_orders`` finds a minimizing
+    ordering by a level search over every row at once, pruned by twin
+    swaps. Rows are processed CANONICAL_BATCH at a time, which bounds the
+    memory held.
     """
     rows = np.asarray(adjs, dtype=np.int64)
     if rows.size == 0:
@@ -288,16 +297,60 @@ def canonical_forms(adjs) -> list[bytes]:
         raise GraphError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got {n}")
     forms: list[bytes] = []
     for start in range(0, len(rows), CANONICAL_BATCH):
-        chunk = rows[start : start + CANONICAL_BATCH]
-        colors = _refinement_colors(chunk)
-        # order[r, i]: the vertex placed at position i of row r
-        order = np.empty_like(colors)
-        positions = np.broadcast_to(np.arange(n), colors.shape)
-        np.put_along_axis(order, colors, positions, axis=1)
-        for r in np.flatnonzero(colors.max(axis=1) < n - 1):
-            order[r] = _search_order(chunk[r].tolist(), colors[r].tolist())
-        forms += _packed_forms(chunk, order)
+        batch = rows[start : start + CANONICAL_BATCH]
+        forms += _packed_forms(batch, _canonical_orders(batch))
     return forms
+
+
+def _canonical_orders(rows: np.ndarray) -> np.ndarray:
+    """For each row of adjacency bitsets, a vertex order that lists the
+    refinement classes in color order and gives the least form of all
+    such orders.
+
+    Position i of the form holds the chunk of the vertex placed there: its
+    adjacency to the vertices placed before it, first placed first. The
+    form compares as its sequence of chunks, so the least one is found a
+    position at a time, for all rows at once. Each row keeps its tied
+    states, the prefixes whose chunks so far are the row's least, and
+    each position extends every state by every unplaced vertex, keeping
+    the extensions whose key, the vertex's color and then its chunk, is
+    the row's least. All states of a row have placed the same colors, so
+    the least color is that of the class filling the position. Any state
+    left after the last position gives a minimizing order. A vertex is
+    not tried while a lower twin of it is unplaced: the twin has the same
+    color (swapping the two is an automorphism) and the same chunk, and
+    the swap fixes the prefix and maps one extension's continuations onto
+    the other's. A row whose refinement is discrete keeps one state.
+    """
+    count, n = rows.shape
+    vertex = np.arange(n)
+    pair = 1 << vertex
+    adj = rows[:, :, None] >> vertex & 1
+    # lower_twins[r, v]: the vertices u < v that agree with v off {u, v}
+    twin = (rows[:, :, None] ^ rows[:, None, :]) & ~(pair | pair[:, None]) == 0
+    lower_twins = (twin & np.tri(n, k=-1, dtype=bool)) @ pair
+    # the tied states, in row order: their row, their order so far, their
+    # unplaced vertex set and each vertex's key, its color above its chunk
+    ids = np.arange(count)
+    row = ids
+    order = np.zeros((count, n), dtype=np.int64)
+    unplaced = np.full(count, (1 << n) - 1)
+    key = _refinement_colors(rows) << n
+    for i in range(n):
+        tried = unplaced[:, None] >> vertex & 1 == 1
+        tried &= lower_twins[row] & unplaced[:, None] == 0
+        # keys stay below n << n + i, so untried vertices never tie
+        value = np.where(tried, key, n << 2 * n)
+        # every row keeps a state, so the groups that start at each row's
+        # first state are the rows
+        least = np.minimum.reduceat(value.min(axis=1), row.searchsorted(ids))
+        state, v = np.nonzero(value == least[row, None])
+        row = row[state]
+        order = order[state]
+        order[:, i] = v
+        unplaced = unplaced[state] ^ 1 << v
+        key = key[state] << 1 | adj[row, :, v]
+    return order[row.searchsorted(ids)]
 
 
 def _refinement_colors(rows: np.ndarray) -> np.ndarray:
@@ -360,59 +413,6 @@ def _packed_forms(rows: np.ndarray, order: np.ndarray) -> list[bytes]:
 def _are_twins(adj: Sequence[int], u: int, v: int) -> bool:
     off = ~(1 << u | 1 << v)
     return adj[u] & off == adj[v] & off
-
-
-def _search_order(adj: list[int], colors: list[int]) -> list[int]:
-    """The vertex order that gives the minimum form among those listing
-    the color classes in order, by a search pruned against the best prefix
-    and by twin swaps."""
-    n = len(adj)
-    nclasses = max(colors) + 1
-    classes: list[list[int]] = [[] for _ in range(nclasses)]
-    for v, c in enumerate(colors):
-        classes[c].append(v)
-    # class_end[level]: first position past the class placed at level
-    class_end: list[int] = []
-    for cls in classes:
-        class_end.extend([len(class_end) + len(cls)] * len(cls))
-
-    cur = [0] * n
-    placed = [0] * n
-    best: list[int] | None = None
-    best_order: list[int] = []
-
-    # rest: (adjacency to the placed prefix, v) for each unplaced v, in
-    # class order, so the current class's candidates lead it
-    def rec(level: int, tight: bool, rest: list[tuple[int, int]]) -> bool:
-        nonlocal best, best_order
-        if level == n:
-            best = cur[:]
-            best_order = placed[:]
-            return True
-        items = sorted(rest[: class_end[level] - level])
-        updated = False
-        tried: list[tuple[int, int]] = []
-        for chunk, v in items:
-            if best is not None and tight and chunk > best[level]:
-                break
-            # skip v when a tried twin u gives an isomorphic continuation
-            if any(tchunk == chunk and _are_twins(adj, u, v) for tchunk, u in tried):
-                continue
-            tried.append((chunk, v))
-            if best is None:
-                child_tight = True
-            else:
-                child_tight = tight and chunk == best[level]
-            cur[level] = chunk
-            placed[level] = v
-            child = [(c << 1 | (adj[u] >> v & 1), u) for c, u in rest if u != v]
-            if rec(level + 1, child_tight, child):
-                updated = True
-                tight = True  # best now extends the current prefix
-        return updated
-
-    rec(0, True, [(0, v) for cls in classes for v in cls])
-    return best_order
 
 
 # -- graph6 codec ----------------------------------------------------------

@@ -11,10 +11,13 @@ cap (K_8 and K_9 at k = 5), so criterion 7 of ``verify`` (k = 3, 4) rests
 on scans alone. Graph enumeration is orderly generation with
 canonical-form rejection: each level's one-vertex extensions are built as
 adjacency rows, those a twin swap of the parent maps to an earlier one are
-skipped, and the rest go through ``graphs.canonical_forms`` in batches;
-each representative keeps the form its batch computed. It is capped at 7
-vertices for all graphs and at 10 for triangle-free ones; larger orders
-come in through external graph6 streams.
+skipped, and the rest go through ``graphs.canonical_forms`` in batches,
+which refines each batch's vertex colors and then searches all its rows'
+minimizing vertex orders together, one position at a time, skipping a
+vertex wherever a lower twin of it is still unplaced; each representative
+keeps the form its batch computed. It is capped at 7 vertices for all
+graphs and at 10 for triangle-free ones; larger orders come in through
+external graph6 streams.
 """
 
 from __future__ import annotations

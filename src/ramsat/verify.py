@@ -222,7 +222,7 @@ def criterion_7(budget: SearchBudget | None = None) -> str:
 
 @_criterion(8, "K3-saturated, min degree 2: all are J; deficit table; min 2n-5")
 def criterion_8(quick: bool = False, budget: SearchBudget | None = None) -> str:
-    max_n = 7 if quick else 8
+    max_n = 7 if quick else 9
     checked = 0
     for n in range(5, max_n + 1):
         _check_deadline(budget, f"before the scan at n={n}")

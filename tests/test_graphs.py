@@ -1,6 +1,7 @@
 """Graph core: structure queries, canonical forms, graph6, DOT."""
 
 import hashlib
+import itertools
 import random
 
 import networkx as nx
@@ -27,8 +28,9 @@ from ramsat.graphs import (
     path,
     petersen,
     star,
+    _are_twins,
+    _canonical_orders,
     _refinement_colors,
-    _search_order,
 )
 from ramsat.oracle import enumerate_graphs
 
@@ -57,6 +59,17 @@ def test_basic_invariants():
     for i, (u, v) in enumerate(g.edges):
         assert g.edge_index(u, v) == i
     assert g.edges == Graph(5, g.edges).edges
+
+
+def test_edge_index_is_built_on_first_use():
+    g = cycle(5)
+    assert g._edge_index is None
+    assert g.edge_index(4, 0) == 1 and g._edge_index is not None
+    h = complete(4)
+    assert h.triangle_edge_triples() == ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+    assert h._edge_index == {e: i for i, e in enumerate(h.edges)}
+    # fresh representatives, which other tests' cached ones may not be
+    assert all(g._edge_index is None for g in enumerate_graphs.__wrapped__(5))
 
 
 def test_validation_errors():
@@ -223,15 +236,86 @@ def reference_refinement_colors(g):
         nclasses = len(set(colors))
 
 
-def reference_canonical_form(g):
-    """The form from the reference refinement and the pruned search, one
-    graph at a time, packed bit by bit."""
-    if g.n == 0:
-        return b"\x00"
-    order = _search_order(list(g.adj), reference_refinement_colors(g))
+def _search_order(adj: list[int], colors: list[int]) -> list[int]:
+    """The vertex order that gives the minimum form among those listing
+    the color classes in order, by a search pruned against the best prefix
+    and by twin swaps."""
+    n = len(adj)
+    nclasses = max(colors) + 1
+    classes: list[list[int]] = [[] for _ in range(nclasses)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    # class_end[level]: first position past the class placed at level
+    class_end: list[int] = []
+    for cls in classes:
+        class_end.extend([len(class_end) + len(cls)] * len(cls))
+
+    cur = [0] * n
+    placed = [0] * n
+    best: list[int] | None = None
+    best_order: list[int] = []
+
+    # rest: (adjacency to the placed prefix, v) for each unplaced v, in
+    # class order, so the current class's candidates lead it
+    def rec(level: int, tight: bool, rest: list[tuple[int, int]]) -> bool:
+        nonlocal best, best_order
+        if level == n:
+            best = cur[:]
+            best_order = placed[:]
+            return True
+        items = sorted(rest[: class_end[level] - level])
+        updated = False
+        tried: list[tuple[int, int]] = []
+        for chunk, v in items:
+            if best is not None and tight and chunk > best[level]:
+                break
+            # skip v when a tried twin u gives an isomorphic continuation
+            if any(tchunk == chunk and _are_twins(adj, u, v) for tchunk, u in tried):
+                continue
+            tried.append((chunk, v))
+            if best is None:
+                child_tight = True
+            else:
+                child_tight = tight and chunk == best[level]
+            cur[level] = chunk
+            placed[level] = v
+            child = [(c << 1 | (adj[u] >> v & 1), u) for c, u in rest if u != v]
+            if rec(level + 1, child_tight, child):
+                updated = True
+                tight = True  # best now extends the current prefix
+        return updated
+
+    rec(0, True, [(0, v) for cls in classes for v in cls])
+    return best_order
+
+
+def form_in_order(g, order):
+    """The order n, then the columns of g's adjacency matrix in the given
+    vertex order above the diagonal, packed bit by bit."""
     bits = [g.has_edge(order[v], order[u]) for v in range(g.n) for u in range(v)]
     value = int("".join("01"[b] for b in bits) or "0", 2)
     return bytes([g.n]) + value.to_bytes((len(bits) + 7) // 8 or 1, "big")
+
+
+def reference_canonical_form(g):
+    """The form from the reference refinement and a depth-first search
+    pruned against the best prefix, one graph at a time."""
+    if g.n == 0:
+        return b"\x00"
+    return form_in_order(g, _search_order(list(g.adj), reference_refinement_colors(g)))
+
+
+def brute_force_canonical_form(g):
+    """The minimum form over every ordering that lists the reference
+    refinement classes in order, each class in every one of its orders."""
+    if g.n == 0:
+        return b"\x00"
+    colors = reference_refinement_colors(g)
+    classes = [[v for v in range(g.n) if colors[v] == c] for c in range(max(colors) + 1)]
+    return min(
+        form_in_order(g, [v for part in parts for v in part])
+        for parts in itertools.product(*map(itertools.permutations, classes))
+    )
 
 
 def shuffled(rng, g):
@@ -279,6 +363,50 @@ def test_canonical_forms_match_reference(n):
     forms = canonical_forms([g.adj for g in batch])
     assert forms == [reference_canonical_form(g) for g in batch]
     assert forms == [Graph(g.n, g.edges).canonical_form() for g in batch]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_canonical_forms_match_brute_force(n):
+    rng = random.Random(200 + n)
+    batch = []
+    for g in enumerate_graphs(n):
+        batch += [g, shuffled(rng, g)]
+    forms = canonical_forms([g.adj for g in batch])
+    assert forms == [brute_force_canonical_form(g) for g in batch]
+
+
+def test_canonical_orders_list_the_classes_in_order():
+    rng = random.Random(37)
+    batch = [random_graph(rng, 8) for _ in range(200)]
+    batch += [petersen(), cycle(10), complete_bipartite(5, 5)]
+    for n in (8, 10):
+        graphs = [g for g in batch if g.n == n]
+        adjs = np.array([g.adj for g in graphs], dtype=np.int64)
+        colors = _refinement_colors(adjs)
+        orders = _canonical_orders(adjs)
+        assert (np.sort(orders, axis=1) == np.arange(n)).all()
+        assert (np.diff(np.take_along_axis(colors, orders, axis=1)) >= 0).all()
+        for g, order in zip(graphs, orders.tolist()):
+            assert form_in_order(g, order) == g.canonical_form()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        petersen(),
+        disjoint_union(cycle(5), cycle(5)),
+        disjoint_union(*[complete(2)] * 5),
+        cycle(10),
+        complete_bipartite(5, 5),
+    ],
+    ids=["petersen", "2C5", "5K2", "C10", "K5,5"],
+)
+def test_canonical_form_of_symmetric_tens_under_relabeling(g):
+    # vertex-transitive graphs without twins keep the most tied states
+    rng = random.Random(41)
+    relabeled = [shuffled(rng, g) for _ in range(20)]
+    forms = canonical_forms([g.adj] + [h.adj for h in relabeled])
+    assert set(forms) == {reference_canonical_form(g)}
 
 
 def test_canonical_forms_across_chunks():

@@ -104,6 +104,23 @@ def test_enumerate_triangle_free_counts(n, count):
     assert len(enumerate_graphs(n, triangle_free=True)) == count
 
 
+# the same digest over enumerate_graphs(n, triangle_free=True) past the
+# all-graphs cap; n = 10 (12,172 classes, about 3 s cold) is pinned in CI
+TRIANGLE_FREE_DIGESTS = {
+    8: "c7ece0811e355fa7f47a2e508708855d106c446b98be0948a00b1bc93c65e517",
+    9: "42c028eda5dab6c792127a0cbc09e6a8cb1aa90166593241511f6a125fd9b017",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(TRIANGLE_FREE_DIGESTS.items()))
+def test_enumerate_triangle_free_pinned(n, digest):
+    text = "\n".join(
+        f"{g.to_graph6()} {g.canonical_form().hex()}"
+        for g in enumerate_graphs(n, triangle_free=True)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_enumerate_triangle_free_is_a_subsequence(n):
     # the same representatives, forms and order as the full enumeration
