@@ -128,7 +128,7 @@ class Graph:
         return min(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and bool(self.adj[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.adj[v])
@@ -174,11 +174,6 @@ class Graph:
         return Graph(self.n, ((p[u], p[v]) for u, v in self.edges))
 
     # -- structure --------------------------------------------------------
-
-    def are_twins(self, u: int, v: int) -> bool:
-        """True iff u and v agree off {u, v}, so that swapping them is an
-        automorphism."""
-        return _are_twins(self.adj, u, v)
 
     def common_neighbor_count(self, u: int, v: int) -> int:
         return (self.adj[u] & self.adj[v]).bit_count()
@@ -317,18 +312,15 @@ def _canonical_orders(rows: np.ndarray) -> np.ndarray:
     the row's least. All states of a row have placed the same colors, so
     the least color is that of the class filling the position. Any state
     left after the last position gives a minimizing order. A vertex is
-    not tried while a lower twin of it is unplaced: the twin has the same
-    color (swapping the two is an automorphism) and the same chunk, and
+    not tried while one of its ``lower_twins`` is unplaced: that twin has
+    the same color (swapping the two is an automorphism) and chunk, and
     the swap fixes the prefix and maps one extension's continuations onto
     the other's. A row whose refinement is discrete keeps one state.
     """
     count, n = rows.shape
     vertex = np.arange(n)
-    pair = 1 << vertex
     adj = rows[:, :, None] >> vertex & 1
-    # lower_twins[r, v]: the vertices u < v that agree with v off {u, v}
-    twin = (rows[:, :, None] ^ rows[:, None, :]) & ~(pair | pair[:, None]) == 0
-    lower_twins = (twin & np.tri(n, k=-1, dtype=bool)) @ pair
+    twins = lower_twins(rows)
     # the tied states, in row order: their row, their order so far, their
     # unplaced vertex set and each vertex's key, its color above its chunk
     ids = np.arange(count)
@@ -338,7 +330,7 @@ def _canonical_orders(rows: np.ndarray) -> np.ndarray:
     key = _refinement_colors(rows) << n
     for i in range(n):
         tried = unplaced[:, None] >> vertex & 1 == 1
-        tried &= lower_twins[row] & unplaced[:, None] == 0
+        tried &= twins[row] & unplaced[:, None] == 0
         # keys stay below n << n + i, so untried vertices never tie
         value = np.where(tried, key, n << 2 * n)
         # every row keeps a state, so the groups that start at each row's
@@ -351,6 +343,17 @@ def _canonical_orders(rows: np.ndarray) -> np.ndarray:
         unplaced = unplaced[state] ^ 1 << v
         key = key[state] << 1 | adj[row, :, v]
     return order[row.searchsorted(ids)]
+
+
+def lower_twins(rows: np.ndarray) -> np.ndarray:
+    """For each row of adjacency bitsets and each vertex v, the bitset of
+    the vertices u < v that agree with v off {u, v}: the u for which
+    swapping u and v is an automorphism. Twinness is an equivalence
+    relation, so v's lower twins are the members of its class below it."""
+    n = rows.shape[1]
+    pair = 1 << np.arange(n)
+    twin = (rows[:, :, None] ^ rows[:, None, :]) & ~(pair | pair[:, None]) == 0
+    return (twin & np.tri(n, k=-1, dtype=bool)) @ pair
 
 
 def _refinement_colors(rows: np.ndarray) -> np.ndarray:
@@ -408,11 +411,6 @@ def _packed_forms(rows: np.ndarray, order: np.ndarray) -> list[bytes]:
     pad = np.zeros((count, -nbits % 8 if nbits else 8), dtype=np.int64)
     bits = np.concatenate([pad, placed[:, later] >> order[:, earlier] & 1], axis=1)
     return [bytes([n]) + bytes(form) for form in np.packbits(bits, axis=1)]
-
-
-def _are_twins(adj: Sequence[int], u: int, v: int) -> bool:
-    off = ~(1 << u | 1 << v)
-    return adj[u] & off == adj[v] & off
 
 
 # -- graph6 codec ----------------------------------------------------------
@@ -516,6 +514,8 @@ def star(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if a < 0 or b < 0:
+        raise GraphError(f"complete_bipartite needs sides >= 0, got {a} and {b}")
     return Graph(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 

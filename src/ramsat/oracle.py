@@ -9,15 +9,16 @@ never consult the search engine, so engine results can be checked against
 them; only family_ramsey_number calls it, on complete graphs past the scan
 cap (K_8 and K_9 at k = 5), so criterion 7 of ``verify`` (k = 3, 4) rests
 on scans alone. Graph enumeration is orderly generation with
-canonical-form rejection: each level's one-vertex extensions are built as
-adjacency rows, those a twin swap of the parent maps to an earlier one are
-skipped, and the rest go through ``graphs.canonical_forms`` in batches,
-which refines each batch's vertex colors and then searches all its rows'
-minimizing vertex orders together, one position at a time, skipping a
-vertex wherever a lower twin of it is still unplaced; each representative
-keeps the form its batch computed. It is capped at 7 vertices for all
-graphs and at 10 for triangle-free ones; larger orders come in through
-external graph6 streams.
+canonical-form rejection: one mask over all parents of a level, from
+``graphs.lower_twins``, drops the one-vertex extensions that a twin swap
+of the parent maps to an earlier one; the rest are built as adjacency rows
+and go through ``graphs.canonical_forms`` in batches, which refines each
+batch's vertex colors and then searches all its rows' minimizing vertex
+orders together, one position at a time, skipping a vertex wherever a
+lower twin of it is still unplaced; each representative keeps the form
+its batch computed. It is capped at 7 vertices for all graphs and at 10
+for triangle-free ones; larger orders come in through external graph6
+streams.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .graphs import (
     bits,
     canonical_forms,
     complete,
+    lower_twins,
 )
 from .saturation import is_kt_saturated
 from .search import EXHAUSTED, FOUND, SearchBudget
@@ -75,15 +77,14 @@ def enumerate_graphs(n: int, *, triangle_free: bool = False) -> tuple[Graph, ...
         if triangle_free
         else enumerate_graphs(n - 1)
     )
-    per_parent = [_extension_subsets(g, triangle_free) for g in parents]
-    owners = np.repeat(np.arange(len(parents)), [len(s) for s in per_parent])
-    subsets = np.concatenate(per_parent)
     base = np.array([g.adj for g in parents], dtype=np.int64)
+    # parent p joined to subset s is entry p << n - 1 | s of the mask, so
+    # the kept entries come parent-major and ascending
+    kept = np.flatnonzero(_extension_mask(base, triangle_free))
     seen: dict[bytes, Graph] = {}
     # each candidate is its parent's rows plus vertex n-1 joined to a subset
-    for start in range(0, len(subsets), CANONICAL_BATCH):
-        owner = owners[start : start + CANONICAL_BATCH]
-        batch = subsets[start : start + CANONICAL_BATCH]
+    for start in range(0, len(kept), CANONICAL_BATCH):
+        owner, batch = np.divmod(kept[start : start + CANONICAL_BATCH], 1 << n - 1)
         joined = base[owner] | (batch[:, None] >> np.arange(n - 1) & 1) << n - 1
         rows = np.concatenate([joined, batch[:, None]], axis=1)
         for i, s, form in zip(owner.tolist(), batch.tolist(), canonical_forms(rows)):
@@ -95,27 +96,25 @@ def enumerate_graphs(n: int, *, triangle_free: bool = False) -> tuple[Graph, ...
     return tuple(g for _, g in sorted(seen.items()))
 
 
-def _extension_subsets(g: Graph, triangle_free: bool) -> np.ndarray:
-    """Neighborhoods for a new vertex joined to g, ascending, that take the
-    lowest members of each twin class of g and, with ``triangle_free``,
-    are independent sets of g.
+def _extension_mask(base: np.ndarray, triangle_free: bool) -> np.ndarray:
+    """Which neighborhoods s to join a new vertex to, for each parent p
+    given by its rows of adjacency bitsets: ``keep[p, s]`` holds when s
+    holds every lower twin of each vertex in it and, with
+    ``triangle_free``, is an independent set of p.
 
-    For twins u < v of g, a subset holding v but not u gives the same
+    For twins u < v of p, a subset holding v but not u gives the same
     class as the smaller subset with v swapped for u, which enumeration
     reaches first; skipping it keeps every first representative.
     """
-    subsets = np.arange(1 << g.n, dtype=np.int64)
-    keep = np.ones(len(subsets), dtype=bool)
-    for v in range(1, g.n):
-        # v needs the nearest lower twin it has
-        for u in range(v - 1, -1, -1):
-            if g.are_twins(u, v):
-                keep &= (subsets >> v & 1 == 0) | (subsets >> u & 1 == 1)
-                break
-    if triangle_free:
-        for u, adj in enumerate(g.adj):
-            keep &= (subsets >> u & 1 == 0) | (subsets & adj == 0)
-    return subsets[keep]
+    # parents have at most CANONICAL_MAX_N - 1 vertices, so int16 holds
+    # every bitset and keeps the (parents, subsets) temporaries small
+    subsets = np.arange(1 << base.shape[1], dtype=np.int16)
+    need = lower_twins(base).astype(np.int16)
+    care = need | base.astype(np.int16) if triangle_free else need
+    keep = np.ones((len(base), len(subsets)), dtype=bool)
+    for v in range(base.shape[1]):
+        keep &= (subsets >> v & 1 == 0) | (subsets & care[:, v, None] == need[:, v, None])
+    return keep
 
 
 # red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1

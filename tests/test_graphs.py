@@ -27,8 +27,8 @@ from ramsat.graphs import (
     is_2_connected,
     path,
     petersen,
+    lower_twins,
     star,
-    _are_twins,
     _canonical_orders,
     _refinement_colors,
 )
@@ -83,6 +83,9 @@ def test_validation_errors():
         Graph(3, [(0, 1)]).edge_index(0, 2)
     with pytest.raises(GraphError):
         cycle(2)
+    for a, b in [(-1, 2), (2, -1)]:
+        with pytest.raises(GraphError):
+            complete_bipartite(a, b)
 
 
 def test_degenerate_graphs_are_legal():
@@ -102,6 +105,9 @@ def test_with_without_edge():
     assert g2.without_edge(0, 3).edges == g.edges
     with pytest.raises(GraphError):
         g.with_edge(0, 1)
+    assert not g.has_edge(0, -1) and not g.has_edge(-1, 0)
+    with pytest.raises(GraphError):
+        g.with_edge(0, -1)
     with pytest.raises(GraphError):
         g.without_edge(0, 3)
 
@@ -122,12 +128,13 @@ def test_twins_are_exactly_the_automorphic_swaps():
     rng = random.Random(23)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8))
+        (twins,) = lower_twins(np.array([g.adj], dtype=np.int64))
         for u in range(g.n):
+            assert not twins[u] >> u  # only lower vertices
             for v in range(u + 1, g.n):
                 swap = list(range(g.n))
                 swap[u], swap[v] = v, u
-                assert g.are_twins(u, v) == (g.relabeled(swap) == g)
-                assert g.are_twins(u, v) == g.are_twins(v, u)
+                assert bool(twins[v] >> u & 1) == (g.relabeled(swap) == g)
 
 
 def test_triangles_against_naive_loop():
@@ -236,6 +243,11 @@ def reference_refinement_colors(g):
         nclasses = len(set(colors))
 
 
+def _twins(adj: list[int], u: int, v: int) -> bool:
+    off = ~(1 << u | 1 << v)
+    return adj[u] & off == adj[v] & off
+
+
 def _search_order(adj: list[int], colors: list[int]) -> list[int]:
     """The vertex order that gives the minimum form among those listing
     the color classes in order, by a search pruned against the best prefix
@@ -270,7 +282,7 @@ def _search_order(adj: list[int], colors: list[int]) -> list[int]:
             if best is not None and tight and chunk > best[level]:
                 break
             # skip v when a tried twin u gives an isomorphic continuation
-            if any(tchunk == chunk and _are_twins(adj, u, v) for tchunk, u in tried):
+            if any(tchunk == chunk and _twins(adj, u, v) for tchunk, u in tried):
                 continue
             tried.append((chunk, v))
             if best is None:

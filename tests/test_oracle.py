@@ -69,9 +69,17 @@ def test_enumerate_representatives_pinned(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_enumerate_skips_twin_symmetric_extensions(monkeypatch):
+@pytest.mark.parametrize(
+    "n, triangle_free, classes, canonicalised",
+    [(7, False, 1044, 7195), (9, True, 1897, 19030)],
+    ids=["all", "triangle_free"],
+)
+def test_enumerate_skips_twin_symmetric_extensions(
+    monkeypatch, n, triangle_free, classes, canonicalised
+):
     # a cold enumerate_graphs(7) canonicalises 7,195 children, not all
-    # 11,291 one-vertex extensions
+    # 11,291 one-vertex extensions; a cold triangle-free enumeration to 9
+    # vertices, 19,030 of its 29,751 extensions by independent sets
     rows = 0
     forms = oracle.canonical_forms
 
@@ -83,8 +91,8 @@ def test_enumerate_skips_twin_symmetric_extensions(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_forms", counted)
     # recurse uncached, leaving the shared cache as the other tests left it
     monkeypatch.setattr(oracle, "enumerate_graphs", enumerate_graphs.__wrapped__)
-    assert len(oracle.enumerate_graphs(7)) == 1044
-    assert rows == 7195
+    assert len(oracle.enumerate_graphs(n, triangle_free=triangle_free)) == classes
+    assert rows == canonicalised
 
 
 def test_enumerate_cap():
