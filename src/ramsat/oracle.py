@@ -4,7 +4,14 @@ Everything here is deliberately brute force. The coloring scan tests all
 2^m colorings, bitsliced: coloring ``x`` (bit i set means edge i is red)
 is bit ``x % 64`` of uint64 word ``x // 64``, so each edge's red variable
 is one word per 64 colorings and every triangle or k-vertex subtree clause
-is a handful of word-wide ANDs and ORs. The scans and the enumeration
+is a handful of word-wide ANDs and ORs. One scan serves a batch of graphs
+with the same vertex and edge counts (``compute_sat`` hands it each edge
+count's classes; ``brute_force_bad_colorings`` is a batch of one): each
+graph's clauses, listed by ``colorings.triangle_picks`` and
+``colorings.subtree_picks`` as edge-index arrays tagged by graph, are
+folded into that graph's own row, in gathered chunks reduced per graph
+while the rows are narrow and one clause at a time in place once they are
+wide. The scans and the enumeration
 never consult the search engine, so engine results can be checked against
 them; only family_ramsey_number calls it, on complete graphs past the scan
 cap (K_8 and K_9 at k = 5), so criterion 7 of ``verify`` (k = 3, 4) rests
@@ -24,13 +31,13 @@ streams.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import search
-from .colorings import enumerate_subtrees
+from .colorings import subtree_picks, triangle_picks
 from .graphs import (
     CANONICAL_BATCH,
     CANONICAL_MAX_N,
@@ -122,24 +129,84 @@ _LOW_EDGE_WORDS = tuple(
     np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6)
 )
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# words of clause rows per gathered chunk of a scan. A gather moves each
+# word about twice, where folding a clause in place through one scratch
+# row costs a few numpy calls instead; on single scans the gather stopped
+# paying below about eight clauses a chunk, so rows of 2^(m-6) words with
+# fewer than _MIN_GATHER of them in a chunk (m >= 18) fold in place
+_CHUNK_WORDS = 1 << 14
+_MIN_GATHER = 8
 
 
-def _violation_words(g: Graph, k: int) -> np.ndarray:
-    """Bitsliced violation flags over all 2^m colorings: bit b of word w is
-    set iff coloring 64w + b is not bad (or, when m < 6, lies past 2^m)."""
-    m = g.m
-    words = np.arange(1 << max(0, m - 6), dtype=np.uint64)
-    red = list(_LOW_EDGE_WORDS[: min(m, 6)])
-    for i in range(6, m):
-        red.append((words >> np.uint64(i - 6) & np.uint64(1)) * _ALL_ONES)
-    viol = np.zeros(len(words), dtype=np.uint64)
+def _violation_rows(graphs: Sequence[Graph], k: int) -> np.ndarray:
+    """Bitsliced violation flags over all 2^m colorings of graphs on one
+    vertex count and one edge count m: bit b of word w of row i is set iff
+    coloring 64w + b of graphs[i] is not bad (or, when m < 6, lies past
+    2^m)."""
+    m = graphs[0].m
+    width = 1 << max(0, m - 6)
+    viol = np.zeros((len(graphs), width), dtype=np.uint64)
     if m < 6:
         viol |= _ALL_ONES << np.uint64(1 << m)
-    for a, b, c in g.triangle_edge_triples():
-        viol |= red[a] & red[b] & red[c]
-    for pick in enumerate_subtrees(g, k):
-        viol |= ~functools.reduce(operator.or_, (red[i] for i in pick))
+    if _CHUNK_WORDS // width < _MIN_GATHER:
+        # edges 0..5 stay constant words: no rows for them
+        fold, red = _fold_in_place, list(_LOW_EDGE_WORDS) + list(_red_rows(m, width, 6))
+    else:
+        fold, red = _fold_gathered, _red_rows(m, width, 0)
+    fold(viol, red, *triangle_picks(graphs), np.bitwise_and, np.bitwise_or)
+    # a coloring keeps its bit here iff every subtree has a red edge
+    some_red = np.full_like(viol, _ALL_ONES)
+    fold(some_red, red, *subtree_picks(graphs, k), np.bitwise_or, np.bitwise_and)
+    viol |= ~some_red
     return viol
+
+
+def _red_rows(m: int, width: int, first: int) -> np.ndarray:
+    """The red variable of each edge i = first..m-1 as a row of words."""
+    red = np.zeros((max(0, m - first), width), dtype=np.uint64)
+    for i, row in enumerate(red, first):
+        if i < 6:
+            row[:] = _LOW_EDGE_WORDS[i]
+        else:
+            # all ones on the words whose index has bit i - 6 set
+            row.reshape(-1, 2, 1 << i - 6)[:, 1] = _ALL_ONES
+    return red
+
+
+def _fold_gathered(out, red, owner, picks, clause_op, graph_op) -> None:
+    """``out[g] = graph_op(out[g], clause_op over red[pick])`` for every
+    clause of graph g, on chunks of gathered clause rows reduced per graph."""
+    step = _CHUNK_WORDS // out.shape[1]
+    # where each graph's clauses, or a chunk, start
+    first = np.ones(len(owner), dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    first[::step] = True
+    for start in range(0, len(picks), step):
+        chunk = picks[start : start + step]
+        acc = red[chunk[:, 0]]
+        for column in chunk.T[1:]:
+            clause_op(acc, red[column], out=acc)
+        starts = np.flatnonzero(first[start : start + step])
+        rows = owner[start + starts]
+        if len(starts) > 1:
+            acc = graph_op.reduceat(acc, starts, axis=0)
+        else:
+            # reduceat walks the columns one by one: slow on wide rows
+            acc = graph_op.reduce(acc, axis=0, keepdims=True)
+        out[rows] = graph_op(out[rows], acc)
+
+
+def _fold_in_place(out, red, owner, picks, clause_op, graph_op) -> None:
+    """``_fold_gathered`` one clause at a time through one scratch row."""
+    scratch = np.empty(out.shape[1], dtype=np.uint64)
+    for g, (first, *rest) in zip(owner.tolist(), picks.tolist()):
+        if rest:
+            clause_op(red[first], red[rest[0]], out=scratch)
+            for i in rest[1:]:
+                clause_op(scratch, red[i], out=scratch)
+            graph_op(out[g], scratch, out=out[g])
+        else:
+            graph_op(out[g], red[first], out=out[g])
 
 
 def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
@@ -150,10 +217,7 @@ def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
         raise GraphError(
             f"full scan caps at m <= {MAX_SCAN_EDGES} edges, got {g.m}"
         )
-    if g.m == 0:
-        # the empty coloring is bad: no red triangle, all blue components trivial
-        return np.zeros(1, dtype=np.uint32)
-    good = ~_violation_words(g, k)
+    good = ~_violation_rows([g], k)[0]
     bits = np.unpackbits(good.astype("<u8").view(np.uint8), bitorder="little")
     return np.flatnonzero(bits).astype(np.uint32)
 
@@ -185,17 +249,20 @@ def compute_sat(n: int, k: int) -> SatResult:
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     classes = enumerate_graphs(n)
-    has_bad = {
-        g.canonical_form(): len(brute_force_bad_colorings(g, k)) > 0 for g in classes
-    }
+    # the classes of each edge count share one batched scan
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(classes):
+        by_size.setdefault(g.m, []).append(i)
+    bad = [False] * len(classes)
+    for group in by_size.values():
+        rows = _violation_rows([classes[i] for i in group], k)
+        for i, flag in zip(group, (rows != _ALL_ONES).any(axis=1).tolist()):
+            bad[i] = flag
+    has_bad = dict(zip((g.canonical_form() for g in classes), bad))
     saturated = [False] * len(classes)
     # classes with a bad coloring whose G+uv tried so far have none, each
     # with the non-edges it has left to try
-    blocked = [
-        (i, g.non_edges())
-        for i, (g, bad) in enumerate(zip(classes, has_bad.values()))
-        if bad
-    ]
+    blocked = [(i, g.non_edges()) for i, g in enumerate(classes) if bad[i]]
     while blocked:
         tried, rows = [], []
         for i, todo in blocked:

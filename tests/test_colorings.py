@@ -9,6 +9,7 @@ import pytest
 
 from ramsat.colorings import (
     BLUE,
+    MAX_SUBTREE_K,
     RED,
     BadColoringCertificate,
     TwoColoring,
@@ -17,11 +18,14 @@ from ramsat.colorings import (
     forced_blue_edges,
     is_bad_coloring,
     make_certificate,
+    subtree_picks,
+    triangle_picks,
 )
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
     Graph,
     GraphError,
+    bits,
     component_masks,
     complete,
     cycle,
@@ -184,6 +188,84 @@ def test_enumerate_subtrees_matches_reference(k):
         pairs = list(combinations(range(n), 2))
         g = Graph(n, rng.sample(pairs, rng.randint(n - 1, min(len(pairs), 16))))
         assert enumerate_subtrees(g, k) == reference_subtrees(g, k)
+
+
+def loop_subtrees(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
+    """Edge-index sets of every subtree of g on exactly k vertices.
+
+    Each k-subset of vertices contributes the spanning trees of its induced
+    subgraph, so every tree is listed exactly once.
+    """
+    if k < 2:
+        raise GraphError(f"k must be >= 2, got {k}")
+    out = []
+    for subset in combinations(range(g.n), k):
+        inside = sum(1 << v for v in subset)
+        # edge index -> endpoint mask of the edges (u, v), u < v, within the
+        # subset, in index order
+        local = {
+            g.edge_index(u, v): (1 << u) | (1 << v)
+            for u in subset
+            for v in bits(g.adj[u] & inside & ~((2 << u) - 1))
+        }
+        if len(local) < k - 1:
+            continue
+        # k-1 edges on k vertices form a tree iff they reach all k
+        for pick in combinations(local, k - 1):
+            reached = 1 << subset[0]
+            grown = True
+            while grown:
+                grown = False
+                for i in pick:
+                    ends = local[i]
+                    if ends & reached and ends & ~reached:
+                        reached |= ends
+                        grown = True
+            if reached == inside:
+                out.append(pick)
+    return tuple(out)
+
+
+def _seeded_graphs(seed, count, n_range, max_edges):
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(*n_range)
+        pairs = list(combinations(range(n), 2))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), max_edges)))))
+    return graphs
+
+
+@pytest.mark.parametrize("k", range(2, MAX_SUBTREE_K + 1))
+def test_enumerate_subtrees_matches_loop(k):
+    # the per-subset loop that the numpy table lookup replaced, on up to 10
+    # vertices; sparser draws at large k keep the loop's picks few
+    graphs = _seeded_graphs(700 + k, 12, (k, 10), 30 - 2 * k) + [complete(k)]
+    for g in graphs:
+        assert enumerate_subtrees(g, k) == loop_subtrees(g, k), (g.n, g.edges)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_subtree_and_triangle_picks_batch(k):
+    # a batch lists each graph's picks in turn, as one call per graph would
+    graphs = _seeded_graphs(800 + k, 40, (8, 8), 20)
+    owner, picks = subtree_picks(graphs, k)
+    assert list(zip(owner.tolist(), map(tuple, picks.tolist()))) == [
+        (i, pick) for i, g in enumerate(graphs) for pick in loop_subtrees(g, k)
+    ]
+    owner, picks = triangle_picks(graphs)
+    assert list(zip(owner.tolist(), map(tuple, picks.tolist()))) == [
+        (i, tri) for i, g in enumerate(graphs) for tri in g.triangle_edge_triples()
+    ]
+
+
+def test_enumerate_subtrees_caps_k():
+    # K_8 has 262,144 spanning trees: the table of K_k's trees stops at 7
+    with pytest.raises(GraphError, match="k <= 7"):
+        enumerate_subtrees(path(8), 8)
+    assert enumerate_subtrees(complete(7), 9) == ()  # k > n: no subtrees
+    with pytest.raises(GraphError):
+        enumerate_subtrees(complete(3), 1)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,17 @@
 """Enumeration oracle: class counts, full scans, sat values, Ramsey numbers."""
 
+import functools
 import hashlib
+import operator
+import random
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
 from ramsat import oracle
-from ramsat.colorings import TwoColoring, is_bad_coloring
+from ramsat.colorings import TwoColoring, enumerate_subtrees, is_bad_coloring
 from ramsat.graphs import (
     Graph,
     GraphError,
@@ -144,6 +148,9 @@ def test_brute_force_examples():
     assert len(brute_force_bad_colorings(Graph(4), 3)) == 1
     with pytest.raises(GraphError):
         brute_force_bad_colorings(complete(8), 4)  # m = 28 > 24
+    with pytest.raises(GraphError, match="k <= 7"):
+        brute_force_bad_colorings(cycle(8), 8)  # no table of K_8's trees
+    assert len(brute_force_bad_colorings(complete(3), 9)) == 7  # k > n
 
 
 def test_brute_force_masks_reverify():
@@ -194,6 +201,63 @@ def test_brute_force_word_boundaries(m):
         _assert_scan_matches_predicate(g, k)
 
 
+# the per-clause scan that the batched one replaced, kept as its reference
+# red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1
+_LOW_EDGE_WORDS = tuple(
+    np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6)
+)
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _violation_words(g: Graph, k: int) -> np.ndarray:
+    """Bitsliced violation flags over all 2^m colorings: bit b of word w is
+    set iff coloring 64w + b is not bad (or, when m < 6, lies past 2^m)."""
+    m = g.m
+    words = np.arange(1 << max(0, m - 6), dtype=np.uint64)
+    red = list(_LOW_EDGE_WORDS[: min(m, 6)])
+    for i in range(6, m):
+        red.append((words >> np.uint64(i - 6) & np.uint64(1)) * _ALL_ONES)
+    viol = np.zeros(len(words), dtype=np.uint64)
+    if m < 6:
+        viol |= _ALL_ONES << np.uint64(1 << m)
+    for a, b, c in g.triangle_edge_triples():
+        viol |= red[a] & red[b] & red[c]
+    for pick in enumerate_subtrees(g, k):
+        viol |= ~functools.reduce(operator.or_, (red[i] for i in pick))
+    return viol
+
+
+def _assert_rows_match_reference(graphs, k):
+    rows = oracle._violation_rows(graphs, k)
+    assert rows.dtype == np.uint64
+    assert rows.shape == (len(graphs), 1 << max(0, graphs[0].m - 6))
+    for g, row in zip(graphs, rows):
+        assert row.tobytes() == _violation_words(g, k).tobytes(), (g.edges, k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_violation_rows_match_reference_on_every_class(k):
+    # every class on up to 6 vertices, each edge count's classes as one batch
+    for n in range(7):
+        by_size = {}
+        for g in enumerate_graphs(n):
+            by_size.setdefault(g.m, []).append(g)
+        for graphs in by_size.values():
+            _assert_rows_match_reference(graphs, k)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 17, 18, 19, 20, 21, 22])
+def test_violation_rows_match_reference_on_seeded_graphs(m):
+    # m < 6 leaves unused bits in each row's only word; from m = 18 on each
+    # clause is folded in place, m = 17 gathers eight clauses a chunk
+    rng = random.Random(900 + m)
+    n = 7 if m <= 21 else 8
+    pairs = list(combinations(range(n), 2))
+    graphs = [Graph(n, rng.sample(pairs, m)) for _ in range(2)]
+    for k in range(2, 5):  # one, two and three literals a subtree clause
+        _assert_rows_match_reference(graphs, k)
+
+
 def test_brute_force_at_the_edge_cap():
     # K_{4,6} is triangle-free, so at k=3 the bad colorings are exactly
     # the blue matchings: sum over j of C(4,j) C(6,j) j! = 1045
@@ -218,19 +282,42 @@ def test_compute_sat_below_ramsey():
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_compute_sat_scans_each_class_once(monkeypatch, k):
-    # every G+uv is another class on n vertices: 156 scans at n = 6, where
-    # one scan per G+uv took 311 or 312
-    scans = 0
-    scan = oracle.brute_force_bad_colorings
+    # every G+uv is another class on n vertices: the batched scans get 156
+    # rows at n = 6, one per class, where one scan per G+uv took 311 or 312
+    scanned = []
+    scan = oracle._violation_rows
 
-    def counted(*args):
-        nonlocal scans
-        scans += 1
-        return scan(*args)
+    def counted(graphs, k):
+        scanned.extend(g.canonical_form() for g in graphs)
+        return scan(graphs, k)
 
-    monkeypatch.setattr(oracle, "brute_force_bad_colorings", counted)
+    monkeypatch.setattr(oracle, "_violation_rows", counted)
     assert compute_sat(6, k).graphs_scanned == 156
-    assert scans == 156
+    assert len(scanned) == len(set(scanned)) == 156
+
+
+# SHA-256 of the lines repr((n, k, min_edges, extremal_graph6,
+# graphs_scanned)) for k = 2..5, pinned before compute_sat scanned each
+# edge count's classes in one batch
+SAT_DIGESTS = {
+    0: "1c7806881904a81ccbd6dbb0bb74bb468285225d946a4803591a689f17284d6a",
+    1: "3abd5fbcb27d9e511e463d238fc6327bc67bff76136b13c90524a9040c55de55",
+    2: "927f2ad29240a898d8e42626e83b4b84e11124e246bfe0d4f0fb14012718fd3f",
+    3: "6beb6dbcbf53dcea28f21b4a698f4eff336fb9de3e03434bc2c643e9df8035a8",
+    4: "e703a8a0777f127fa55e0a20214235ae300fb1d359973963f4be70402d47e8aa",
+    5: "6f5a1f16bcb3352b2f5085e19f112490ac95681ff944d638b0a6b3814dcc2590",
+    6: "ce1eeb433bded4fd8ac1d9e07409b94fe3be7837a6b1466867b4524e511a13f2",
+    7: "6b125cd49aad2ebf06e9cb8aaacf11b2288181b8aceb37cee27be5bdc9ab6863",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(SAT_DIGESTS.items()))
+def test_compute_sat_pinned(n, digest):
+    lines = []
+    for k in range(2, 6):
+        r = compute_sat(n, k)
+        lines.append(repr((r.n, r.k, r.min_edges, r.extremal_graph6, r.graphs_scanned)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_compute_sat_extremal_graphs_reverify():
