@@ -67,7 +67,16 @@ def _emit(text: str, out_path: str | None) -> None:
 def _json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for dict keys that
     are str, written without the stdlib's pure-Python indent encoder, which
-    is most of a JSON command's time on large reports."""
+    is most of a JSON command's time on large reports.
+
+    A list of flat records is filled into one ``%``-template, column by
+    column, not written item by item: its items are all dicts with one set
+    of str keys or all lists/tuples of one nonzero length, and each field,
+    across the items, holds only exact ints, only strs, or only such records
+    in turn (lists/tuples of one length, or dicts with one key set) whose
+    fields hold only exact ints or only strs. That covers a saturation
+    report's ``non_edges_checked`` and every certificate's ``edges`` rows;
+    any other list is written item by item."""
     return _write_json(obj, "") + "\n"
 
 
@@ -98,10 +107,15 @@ def _write_json(obj, pad: str) -> str:
     elif type(obj) in (list, tuple):
         if not obj:
             return "[]"
-        try:  # the bulk of a payload: [u, v] pairs and [u, v, color] edges
+        try:  # scalars, such as a [u, v] pair
             items = [_JSON_SCALARS[type(item)](item) for item in obj]
         except KeyError:
-            items = [_write_json(item, inner) for item in obj]
+            leaves = []
+            template = _record_template(obj, inner, leaves, True)
+            if template is None:
+                items = [_write_json(item, inner) for item in obj]
+            else:
+                items = [template % row for row in zip(*leaves)]
         brackets = "[]"
     else:
         # floats and whatever else the CLI does not emit; a JSON string never
@@ -109,6 +123,61 @@ def _write_json(obj, pad: str) -> str:
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
     sep = ",\n" + inner
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
+
+
+def _record_template(items, pad, leaves, nested) -> str | None:
+    """The ``%``-template of one of items at indent pad, or None where items
+    are not flat records of one shape (see ``_json``). Each "%d"/"%s" in it
+    appends its column, in order, to leaves. A field is a column of exact
+    ints or of strs, or, where nested, a column of records of those."""
+    shape = _record_fields(items)
+    if shape is None:
+        return None
+    fields, brackets = shape
+    inner = pad + "  "
+    parts = []
+    for key, column in fields:
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            leaves.append(column)
+            spec = "%d"
+        elif kinds == {str}:
+            leaves.append(list(map(_encode_str, column)))
+            spec = "%s"
+        else:
+            spec = _record_template(column, inner, leaves, False) if nested else None
+            if spec is None:
+                return None
+        parts.append(key + spec)
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(parts)}\n{pad}{brackets[1]}"
+
+
+def _record_fields(items):
+    """([(key text, column), ...], brackets) when items share one record
+    shape: all dicts with one set of str keys, or all lists/tuples of one
+    nonzero length. None otherwise."""
+    first = items[0]
+    kinds = set(map(type, items))
+    if kinds == {dict}:
+        if (
+            not first
+            or any(type(key) is not str for key in first)
+            or set(map(len, items)) != {len(first)}
+        ):
+            return None
+        try:
+            fields = [
+                # a key is literal template text
+                (_encode_str(key).replace("%", "%%") + ": ", [item[key] for item in items])
+                for key in sorted(first)
+            ]
+        except KeyError:
+            return None
+        return fields, "{}"
+    if kinds <= {list, tuple} and first and set(map(len, items)) == {len(first)}:
+        return [("", column) for column in zip(*items)], "[]"
+    return None
 
 
 # -- construct ----------------------------------------------------------------

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, output determinism."""
 
 import argparse
+import enum
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -317,24 +319,44 @@ def test_malformed_input_is_usage_error(capsys, tmp_path):
         ["construct", "godd", "--n", "19", "--coloring", "--format", "json"],
         ["construct", "general", "--k", "5", "--n", "20", "--format", "json"],
         ["sat", "--n", "5", "--k", "4", "--format", "json"],
-        # star(10) is not saturated, so its report lists failures
+        # star(10) and star(30) are not saturated, so their reports list
+        # failures, each with a certificate's edge rows
         ["check", "saturated", "STAR10", "--k", "4", "--format", "json"],
     ]
     + [
         ["check", predicate, "GEVEN18", "--k", "4", "--format", "json"] + budget
         for predicate in ("arrow", "bad-coloring", "count", "minimal", "saturated")
         for budget in ([], ["--max-nodes", "0"])
+    ]
+    + [
+        ["check", "saturated", "STAR30", "--k", "3", "--format", "json"],
+        # the largest paper witness report
+        ["check", "saturated", "GENERAL7_60", "--k", "7", "--format", "json"],
     ],
 )
 def test_json_output_is_stdlib_indent_2(capsys, tmp_path, geven18_file, argv):
-    star10 = tmp_path / "star10.g6"
-    star10.write_text(star(10).to_graph6() + "\n")
-    files = {"GEVEN18": geven18_file, "STAR10": str(star10)}
-    code, out, _ = run(capsys, [files.get(a, a) for a in argv])
+    graphs = {
+        "STAR10": lambda: star(10),
+        "STAR30": lambda: star(30),
+        "GENERAL7_60": lambda: build(ConstructionSpec.general(7, 60)).graph,
+    }
+    files = {"GEVEN18": geven18_file}
+    for name in set(argv) & set(graphs):
+        files[name] = tmp_path / f"{name}.g6"
+        files[name].write_text(graphs[name]().to_graph6() + "\n")
+    code, out, _ = run(capsys, [str(files.get(a, a)) for a in argv])
     payload = json.loads(out)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if "STAR10" in argv:
+    if "STAR10" in argv or "STAR30" in argv:
         assert code == 1 and payload["failures"]
+        assert all(f["certificate"]["edges"] for f in payload["failures"])
+    if "GENERAL7_60" in argv:
+        assert code == 0 and len(payload["non_edges_checked"]) > 1000
+
+
+class _Color(enum.IntEnum):
+    RED = 0
+    BLUE = 1
 
 
 @pytest.mark.parametrize(
@@ -360,10 +382,141 @@ def test_json_output_is_stdlib_indent_2(capsys, tmp_path, geven18_file, argv):
         "plain",
         7,
         None,
+        # lists of flat records, which take the template path, and their
+        # near misses, which do not
+        [{"non_edge": [0, 1], "status": "saturated", "nodes": 3}] * 3,
+        [{"non_edge": [u, u + 1], "status": s, "nodes": u} for u, s in enumerate("ab")],
+        [{"n": 1, "b": [2, "x"]}, {"n": -(2**70), "b": [4, "y"]}],
+        [{"n": 1}, {"n": True}],
+        [{"n": [1, 2]}, {"n": [3, False]}],
+        [[1, 2], [True, 3]],
+        [
+            {"%": 1, "%s": "%s", "%d": "%d", "%%": "100%"},
+            {"%": 2, "%s": "%", "%d": "", "%%": "%%"},
+        ],
+        [{'say "hi"': 'say "hi"', "back\\slash": "back\\slash"}] * 2,
+        [{"caf\u00e9": "\u2264\U0001f600", "\u00e9": ["\x00\n", 1]}] * 2,
+        [[0, 1, "red"], [0, 2, "blue"], [1, 2, "red"]],
+        [(0, 1, "red"), (0, 2, "blue"), [1, 2, "red"]],
+        {"edges": ((0, 1, "red"), (0, 2, "blue"))},
+        [[0, 1, "red"], [0, 2]],
+        [[0, 1], []],
+        [[], []],
+        [{"a": 1}, {}],
+        [{}, {}],
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+        [{"a": 1}, {"a": 2, "b": 3}],
+        [{"a": 1.5}, {"a": 2.5}],
+        [{"a": None}, {"a": None}],
+        [{"a": _Color.RED}, {"a": _Color.BLUE}],
+        [[_Color.RED, 1], [2, 3]],
+        [{"a": [[1]]}, {"a": [[2]]}],
+        [{"a": {"b": 1, "c": "x"}}, {"a": {"b": 2, "c": "y"}}],
+        [{"a": {"b": [1]}}, {"a": {"b": [2]}}],
+        [{"a": 1}, [1]],
+        [[1], {"a": 1}],
+        [{"non_edge": [0, 1], "status": "saturated", "nodes": 3}],
+        [[0, 1, "red"]],
     ],
 )
 def test_json_writer_matches_stdlib(obj):
     assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_TEXTS = ["a", "b", "red", "", "%", "%s", "%d", "%%", '"', "\\"]
+_TEXTS += ["caf\u00e9", "\U0001f600", "\x00\n"]
+
+
+def _random_scalar(rng):
+    return rng.choice(
+        [
+            lambda: rng.randint(-3, 3),
+            lambda: rng.randint(-(2**70), 2**70),
+            lambda: rng.choice(_TEXTS),
+            lambda: rng.choice(_TEXTS),
+            lambda: rng.choice([True, False, None]),
+            lambda: rng.choice([0.5, -1e300, 2.0]),
+            lambda: rng.choice(list(_Color)),
+        ]
+    )()
+
+
+def _random_field(rng, depth):
+    """A function drawing one field's value: mostly an int, a str or a
+    record of those, else any value."""
+    kind = rng.randrange(4 if depth >= 0 else 3)
+    if kind == 0:
+        return lambda: rng.randint(-(2**40), 2**40)
+    if kind == 1:
+        return lambda: rng.choice(_TEXTS)
+    if kind == 2:
+        return lambda: _random_json(rng, depth - 1)
+    return _random_record(rng, depth - 1)
+
+
+def _random_record(rng, depth):
+    """A function drawing records of one shape: a dict or a list/tuple."""
+    fields = [_random_field(rng, depth) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        keys = rng.sample(_TEXTS, len(fields))
+        return lambda: {key: field() for key, field in zip(keys, fields)}
+    seq = rng.choice([list, tuple])
+    return lambda: seq(field() for field in fields)
+
+
+def _random_json(rng, depth):
+    roll = rng.random()
+    if depth < 0 or roll < 0.3:
+        return _random_scalar(rng)
+    if roll < 0.4:
+        return {rng.choice(_TEXTS): _random_json(rng, depth - 1) for _ in range(rng.randint(0, 3))}
+    if roll < 0.5:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    # a list of records of one shape, at times with one item of another
+    record = _random_record(rng, depth)
+    items = [record() for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:
+        items[rng.randrange(len(items))] = _random_json(rng, depth - 1)
+    return rng.choice([list, tuple])(items)
+
+
+def test_json_writer_matches_stdlib_on_random_objects(monkeypatch):
+    templated = 0
+    record_template = cli._record_template
+
+    def counted(items, pad, leaves, nested):
+        nonlocal templated
+        template = record_template(items, pad, leaves, nested)
+        templated += nested and template is not None
+        return template
+
+    monkeypatch.setattr(cli, "_record_template", counted)
+    rng = random.Random(20)
+    for _ in range(2500):
+        obj = _random_json(rng, 3)
+        assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n", obj
+    assert templated > 500
+
+
+def test_flat_records_are_written_from_one_template(monkeypatch):
+    # a silent fallback to the item-by-item path would keep the output right
+    # and lose the speed, so count the recursive calls
+    calls = 0
+    write_json = cli._write_json
+
+    def counted(obj, pad):
+        nonlocal calls
+        calls += 1
+        return write_json(obj, pad)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    records = [
+        {"non_edge": [u, u + 7], "status": "saturated", "nodes": u % 5} for u in range(500)
+    ]
+    payload = {"non_edges_checked": records}
+    assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert calls <= 3
 
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch, geven18_file):
