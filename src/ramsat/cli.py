@@ -17,6 +17,7 @@ import sys
 from . import oracle, saturation, search, verify
 from .colorings import export_cnf
 from .constructions import (
+    KINDS,
     ConstructionSpec,
     build,
     general_printed_formula_edge_count,
@@ -185,35 +186,18 @@ def _record_fields(items):
 
 def _spec_from_args(args) -> ConstructionSpec:
     kind = args.kind
-    need = {
-        "star": ("n",),
-        "j": ("a", "b", "c"),
-        "c5dup": ("multiplicities",),
-        "petersen": (),
-        "geven": ("n",),
-        "godd": ("n",),
-        "general": ("k", "n"),
-    }[kind]
-    for field in need:
-        if getattr(args, field, None) is None:
-            raise GraphError(f"construct {kind} requires --{field}")
-    if kind == "star":
-        return ConstructionSpec.star(args.n)
-    if kind == "j":
-        return ConstructionSpec.j(args.a, args.b, args.c)
+    params = []
+    for name in KINDS[kind].params:
+        value = getattr(args, name)
+        if value is None:
+            raise GraphError(f"construct {kind} requires --{name}")
+        params.append(value)
     if kind == "c5dup":
         try:
-            mult = tuple(int(x) for x in args.multiplicities.split(","))
+            params = [int(x) for x in args.multiplicities.split(",")]
         except ValueError:
             raise GraphError("--multiplicities must be comma-separated integers")
-        return ConstructionSpec.c5dup(*mult)
-    if kind == "petersen":
-        return ConstructionSpec.petersen()
-    if kind == "geven":
-        return ConstructionSpec.geven(args.n)
-    if kind == "godd":
-        return ConstructionSpec.godd(args.n)
-    return ConstructionSpec.general(args.k, args.n)
+    return ConstructionSpec(kind, tuple(params))
 
 
 def _cmd_construct(args) -> int:
@@ -269,7 +253,7 @@ def _cmd_construct(args) -> int:
 
 
 def _inconclusive(args, reason: str) -> str:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         return _json({"verdict": "inconclusive", "reason": reason})
     return f"inconclusive: {reason}\n"
 
@@ -278,42 +262,6 @@ def _cmd_check(args) -> int:
     g = _read_graph(args.input)
     budget = _budget(args)
     k = args.k
-    if args.predicate in ("arrow", "bad-coloring"):
-        res = search.find_bad_coloring(g, k, budget)
-        if res.status == EXHAUSTED:
-            ran_out = budget.ran_out("search exhausted its budget", budget.max_nodes)
-            _emit(_inconclusive(args, str(ran_out)), None)
-            return EXIT_INCONCLUSIVE
-        found = res.status == FOUND
-        verdict = found if args.predicate == "bad-coloring" else not found
-        payload = {
-            "predicate": args.predicate,
-            "k": k,
-            "verdict": verdict,
-            "nodes": res.stats.nodes,
-        }
-        if found:
-            payload["bad_coloring"] = res.certificate.as_dict(g)
-        _emit(_json(payload) if args.format == "json" else _text_verdict(payload), None)
-        return EXIT_OK if verdict else EXIT_FAIL
-    if args.predicate == "count":
-        res = search.count_bad_colorings(g, k, cap=args.cap, budget=budget)
-        if res.status != search.OK:
-            ran_out = budget.ran_out("search exhausted its budget", budget.max_nodes)
-            _emit(_inconclusive(args, str(ran_out)), None)
-            return EXIT_INCONCLUSIVE
-        payload = {
-            "predicate": "count",
-            "k": k,
-            "count": res.count,
-            "cap": args.cap,
-            "nodes": res.stats.nodes,
-        }
-        if args.format == "json":
-            _emit(_json(payload), None)
-        else:
-            _emit(f"count = {res.count}\n", None)
-        return EXIT_OK
     if args.predicate == "saturated":
         rep = saturation.is_rmin_saturated(g, k, budget)
         if args.format == "json":
@@ -328,15 +276,35 @@ def _cmd_check(args) -> int:
         if rep.status == saturation.NOT_SATURATED:
             return EXIT_FAIL
         return EXIT_INCONCLUSIVE
-    # minimal
+    payload = {"predicate": args.predicate, "k": k}
     try:
-        verdict = saturation.is_ramsey_minimal(g, k, budget)
+        if args.predicate == "minimal":
+            payload["verdict"] = saturation.is_ramsey_minimal(g, k, budget)
+        else:
+            if args.predicate == "count":
+                res = search.count_bad_colorings(g, k, cap=args.cap, budget=budget)
+                payload.update(count=res.count, cap=args.cap)
+            else:
+                res = search.find_bad_coloring(g, k, budget)
+                found = res.status == FOUND
+                payload["verdict"] = (
+                    found if args.predicate == "bad-coloring" else not found
+                )
+                if found:
+                    payload["bad_coloring"] = res.certificate.as_dict(g)
+            if res.status == EXHAUSTED:
+                raise budget.ran_out("search exhausted its budget", budget.max_nodes)
+            payload["nodes"] = res.stats.nodes
     except InconclusiveError as exc:
         _emit(_inconclusive(args, str(exc)), None)
         return EXIT_INCONCLUSIVE
-    payload = {"predicate": "minimal", "k": k, "verdict": verdict}
-    _emit(_json(payload) if args.format == "json" else _text_verdict(payload), None)
-    return EXIT_OK if verdict else EXIT_FAIL
+    if args.format == "json":
+        _emit(_json(payload), None)
+    elif "count" in payload:
+        _emit(f"count = {payload['count']}\n", None)
+    else:
+        _emit(_text_verdict(payload), None)
+    return EXIT_OK if payload.get("verdict", True) else EXIT_FAIL  # a count has none
 
 
 def _text_verdict(payload) -> str:
@@ -438,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a catalog graph")
-    p.add_argument(
-        "kind", choices=("star", "j", "c5dup", "petersen", "geven", "godd", "general")
-    )
+    p.add_argument("kind", choices=tuple(KINDS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--a", type=int)

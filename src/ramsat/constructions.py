@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .colorings import TwoColoring
 from .graphs import Graph, GraphError, petersen as _petersen_graph, star as _star_graph
 
 __all__ = [
+    "KINDS",
     "ConstructionSpec",
     "BuiltConstruction",
     "TheoremBounds",
@@ -78,6 +79,8 @@ class ConstructionSpec:
 
     def validate(self) -> None:
         kind, p = self.kind, self.params
+        if kind not in KINDS:
+            raise GraphError(f"unknown construction kind {kind!r}")
         if kind == "star":
             if len(p) != 1 or p[0] < 1:
                 raise GraphError(f"star requires one parameter n >= 1, got {p}")
@@ -114,8 +117,6 @@ class ConstructionSpec:
                     f"general requires n >= 2k + (ceil(k/2)+1)*ceil(k/2) - 2"
                     f" = {general_min_n(k)} for k={k}, got n={n}"
                 )
-        else:
-            raise GraphError(f"unknown construction kind {kind!r}")
 
     @property
     def name(self) -> str:
@@ -167,16 +168,7 @@ def general_split(k: int, n: int) -> tuple[int, int]:
 
 def build(spec: ConstructionSpec) -> BuiltConstruction:
     spec.validate()
-    builder = {
-        "star": _build_star,
-        "j": _build_j,
-        "c5dup": _build_c5dup,
-        "petersen": _build_petersen,
-        "geven": _build_geven,
-        "godd": _build_godd,
-        "general": _build_general,
-    }[spec.kind]
-    return builder(spec)
+    return KINDS[spec.kind].builder(spec)
 
 
 def _build_star(spec: ConstructionSpec) -> BuiltConstruction:
@@ -223,16 +215,11 @@ def _build_petersen(spec: ConstructionSpec) -> BuiltConstruction:
     return BuiltConstruction(spec, g, roles)
 
 
-def _geven_layout(n: int):
+def _build_geven(spec: ConstructionSpec) -> BuiltConstruction:
+    (n,) = spec.params
     # roles: y z y1 y2 y3 z1 z2 z3, then the matching H in pairs
     y, z, y1, y2, y3, z1, z2, z3 = range(8)
     h = tuple(range(8, n))
-    return y, z, y1, y2, y3, z1, z2, z3, h
-
-
-def _build_geven(spec: ConstructionSpec) -> BuiltConstruction:
-    (n,) = spec.params
-    y, z, y1, y2, y3, z1, z2, z3, h = _geven_layout(n)
     edges = [(h[i], h[i + 1]) for i in range(0, len(h), 2)]
     edges += [(y, v) for v in h]
     edges += [(y, v) for v in (y1, y2, y3, z1, z2, z3)]
@@ -259,15 +246,10 @@ def _build_geven(spec: ConstructionSpec) -> BuiltConstruction:
     return BuiltConstruction(spec, g, roles, coloring, 4)
 
 
-def _godd_layout(n: int):
-    y, z, y1, y2, y3, y4, z1, z2, z3 = range(9)
-    h = tuple(range(9, n))
-    return y, z, y1, y2, y3, y4, z1, z2, z3, h
-
-
 def _build_godd(spec: ConstructionSpec) -> BuiltConstruction:
     (n,) = spec.params
-    y, z, y1, y2, y3, y4, z1, z2, z3, h = _godd_layout(n)
+    y, z, y1, y2, y3, y4, z1, z2, z3 = range(9)
+    h = tuple(range(9, n))
     edges = [(h[i], h[i + 1]) for i in range(0, len(h), 2)]
     edges += [(y, v) for v in h]
     edges += [(y, v) for v in (y1, z1, z2, z3)]
@@ -356,6 +338,26 @@ def _build_general(spec: ConstructionSpec) -> BuiltConstruction:
             " stricter threshold n_min + 4 is not met",
         )
     return BuiltConstruction(spec, g, roles, coloring, k, notes)
+
+
+class Kind(NamedTuple):
+    """A construction kind: its parameter names, in ``ConstructionSpec.params``
+    order, and its builder. c5dup's one name stands for all its
+    multiplicities."""
+
+    params: tuple[str, ...]
+    builder: Callable[[ConstructionSpec], BuiltConstruction]
+
+
+KINDS = {
+    "star": Kind(("n",), _build_star),
+    "j": Kind(("a", "b", "c"), _build_j),
+    "c5dup": Kind(("multiplicities",), _build_c5dup),
+    "petersen": Kind((), _build_petersen),
+    "geven": Kind(("n",), _build_geven),
+    "godd": Kind(("n",), _build_godd),
+    "general": Kind(("k", "n"), _build_general),
+}
 
 
 # -- predicted edge counts ----------------------------------------------------

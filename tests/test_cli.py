@@ -18,7 +18,7 @@ import pytest
 from ramsat import cli, oracle, verify
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
-from ramsat.constructions import ConstructionSpec, build
+from ramsat.constructions import KINDS, ConstructionSpec, build
 from ramsat.graphs import complete, from_graph6, path, star
 from ramsat.search import InconclusiveError, _Engine
 
@@ -74,6 +74,43 @@ def test_construct_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, ["construct", "petersen", "--coloring"])
     assert code == 2 and "no reference coloring" in err
+
+
+# one valid flag value per parameter of each construction kind
+KIND_FLAGS = {
+    "star": {"n": "6"},
+    "j": {"a": "2", "b": "1", "c": "1"},
+    "c5dup": {"multiplicities": "2,1,3,1,1"},
+    "petersen": {},
+    "geven": {"n": "18"},
+    "godd": {"n": "19"},
+    "general": {"k": "5", "n": "20"},
+}
+
+
+def _kind_argv(kind, flags):
+    return ["construct", kind] + [
+        arg for name, value in flags.items() for arg in (f"--{name}", value)
+    ]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_construct_builds_every_kind(capsys, kind):
+    flags = KIND_FLAGS[kind]
+    assert tuple(flags) == KINDS[kind].params
+    params = tuple(int(x) for value in flags.values() for x in value.split(","))
+    want = build(ConstructionSpec(kind, params)).graph.to_graph6() + "\n"
+    argv = _kind_argv(kind, flags) + ["--format", "graph6"]
+    assert run(capsys, argv) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "kind, flag", [(kind, flag) for kind in KINDS for flag in KINDS[kind].params]
+)
+def test_construct_names_each_missing_flag(capsys, kind, flag):
+    flags = {name: value for name, value in KIND_FLAGS[kind].items() if name != flag}
+    want = f"error: construct {kind} requires --{flag}\n"
+    assert run(capsys, _kind_argv(kind, flags)) == (2, "", want)
 
 
 def test_check_saturated(capsys, geven18_file):
@@ -191,6 +228,25 @@ def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_fil
         capsys, ["check", "saturated", geven18_file, "--k", "4", "--max-nodes", "10"]
     )
     assert code == 3 and "inconclusive" in out
+
+
+@pytest.mark.parametrize("predicate", ["arrow", "bad-coloring", "count"])
+@pytest.mark.parametrize(
+    "fmt, want",
+    [
+        ("text", "inconclusive: search exhausted its budget after 1 nodes\n"),
+        (
+            "json",
+            '{\n  "reason": "search exhausted its budget after 1 nodes",\n'
+            '  "verdict": "inconclusive"\n}\n',
+        ),
+    ],
+)
+def test_check_search_out_of_budget_is_inconclusive(capsys, tmp_path, predicate, fmt, want):
+    p = tmp_path / "k8.g6"
+    p.write_text(complete(8).to_graph6() + "\n")
+    argv = ["check", predicate, str(p), "--k", "5", "--max-nodes", "1", "--format", fmt]
+    assert run(capsys, argv) == (3, want, "")
 
 
 @pytest.mark.parametrize(
