@@ -382,16 +382,7 @@ def predicted_edge_count(spec: ConstructionSpec) -> int:
         return (5 * p[0] - 1) // 2
     # general: direct join-list count
     k, n = p
-    q = _half_up(k)
-    s, t = general_split(k, n)
-    return (
-        2 * (n - 3)
-        + comb(2 * k - 4, 2)
-        + 2 * (k - 2)
-        + 1
-        + (s + 2) * comb(q, 2)
-        + t * comb(q + 1, 2)
-    )
+    return 2 * (n - 3) + _general_join_tail(k, n)
 
 
 def general_printed_formula_edge_count(k: int, n: int) -> int:
@@ -401,11 +392,16 @@ def general_printed_formula_edge_count(k: int, n: int) -> int:
     vertices degree n-3 each; it therefore exceeds the direct count by 2.
     """
     ConstructionSpec.general(k, n).validate()
+    return 2 * (n - 2) + _general_join_tail(k, n)
+
+
+def _general_join_tail(k: int, n: int) -> int:
+    """The general family's join-list edges past the first term, which
+    counts the edges at the two dominating vertices."""
     q = _half_up(k)
     s, t = general_split(k, n)
     return (
-        2 * (n - 2)
-        + comb(2 * k - 4, 2)
+        comb(2 * k - 4, 2)
         + 2 * (k - 2)
         + 1
         + (s + 2) * comb(q, 2)

@@ -179,27 +179,22 @@ class Graph:
         return (self.adj[u] & self.adj[v]).bit_count()
 
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        """All triangles as vertex triples u < v < w."""
-        return self._triangle_cache()[0]
+        """All triangles as vertex triples u < v < w, aligned with
+        triangle_edge_triples()."""
+        e = self.edges
+        return tuple((*e[uv], e[uw][1]) for uv, uw, _ in self.triangle_edge_triples())
 
     def triangle_edge_triples(self) -> tuple[tuple[int, int, int], ...]:
-        """All triangles as edge-index triples, aligned with triangles()."""
-        return self._triangle_cache()[1]
-
-    def _triangle_cache(self):
+        """All triangles u < v < w as edge-index triples (uv, uw, vw),
+        built on first use."""
         if self._tri_cache is None:
-            vtris = []
             etris = []
             index = self._edge_indices()
             for i, (u, v) in enumerate(self.edges):
-                common = self.adj[u] & self.adj[v]
                 # keep w > v so each triangle is reported once
-                common >>= v + 1
-                for off in bits(common):
-                    w = v + off + 1
-                    vtris.append((u, v, w))
+                for w in bits(self.adj[u] & self.adj[v] & -(2 << v)):
                     etris.append((i, index[(u, w)], index[(v, w)]))
-            self._tri_cache = (tuple(vtris), tuple(etris))
+            self._tri_cache = tuple(etris)
         return self._tri_cache
 
     def is_triangle_free(self) -> bool:

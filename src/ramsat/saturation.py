@@ -27,10 +27,10 @@ INCONCLUSIVE = "inconclusive"
 
 
 def _has_clique(g: Graph, inside: int, size: int) -> bool:
-    if size == 0:
-        return True
     if inside.bit_count() < size:
         return False
+    if size <= 1:
+        return True
     for v in bits(inside):
         if _has_clique(g, inside & g.adj[v] & ~((1 << (v + 1)) - 1), size - 1):
             return True
@@ -52,13 +52,6 @@ def is_kt_saturated(g: Graph, t: int) -> bool:
     """K_t-free, and every non-edge completes a K_t."""
     if t < 3:
         raise GraphError(f"is_kt_saturated requires t >= 3, got {t}")
-    if t == 3:
-        if not g.is_triangle_free():
-            return False
-        for u, v in g.non_edges():
-            if not g.adj[u] & g.adj[v]:
-                return False
-        return True
     if has_kt(g, t):
         return False
     for u, v in g.non_edges():
@@ -71,11 +64,13 @@ def is_kt_saturated(g: Graph, t: int) -> bool:
 # -- saturation for (triangle, k-vertex trees) ---------------------------------
 
 
-@dataclass(frozen=True)
+# slots: one record per non-edge, so its build and reads are on the hot path
+@dataclass(frozen=True, slots=True)
 class NonEdgeOutcome:
     pair: tuple[int, int]
     status: str  # found | none | budget-exhausted
     nodes: int
+    certificate: BadColoringCertificate | None = None  # of G+uv, when found
 
 
 @dataclass
@@ -84,13 +79,18 @@ class SaturationReport:
     k: int
     status: str  # saturated | not-saturated | inconclusive
     base_certificate: BadColoringCertificate | None
-    failures: tuple[tuple[tuple[int, int], BadColoringCertificate], ...]
     non_edge_outcomes: tuple[NonEdgeOutcome, ...]
     reason: str = ""
 
     @property
     def verdict(self) -> bool:
         return self.status == SATURATED
+
+    @property
+    def failures(self) -> tuple[tuple[tuple[int, int], BadColoringCertificate], ...]:
+        """Each non-edge whose outcome holds a bad coloring of G+uv, with it."""
+        outcomes = self.non_edge_outcomes
+        return tuple((o.pair, o.certificate) for o in outcomes if o.certificate)
 
     def as_dict(self, g: Graph) -> dict:
         return {
@@ -146,52 +146,40 @@ def is_rmin_saturated(
     if ext.status == EXHAUSTED:
         what = "enumeration of G's bad colorings exhausted its budget"
         exhausted = str(budget.ran_out(what, start))
-    if ext.certificate is None:
-        if exhausted:
-            return SaturationReport(g.n, k, INCONCLUSIVE, None, (), (), exhausted)
-        return SaturationReport(
-            g.n, k, NOT_SATURATED, None, (), (), "graph admits no bad coloring"
-        )
-    failures = []
     outcomes = []
-    for pair in g.non_edges():
+    for pair in g.non_edges() if ext.certificate else ():
+        nodes, cert = 0, None
         if pair in ext.extensions:
             colors, c = ext.extensions[pair]
             h = g.with_edge(*pair)
             i = h.edge_index(*pair)
             coloring = TwoColoring(colors[:i] + (c,) + colors[i:])
-            failures.append((pair, make_certificate(h, k, coloring)))
-            outcomes.append(NonEdgeOutcome(pair, FOUND, 0))
+            status, cert = FOUND, make_certificate(h, k, coloring)
         elif ext.complete:
-            outcomes.append(NonEdgeOutcome(pair, NONE, 0))
+            status = NONE
         elif ext.status == EXHAUSTED:
-            outcomes.append(NonEdgeOutcome(pair, EXHAUSTED, 0))
+            status = EXHAUSTED
         else:
             res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
-            outcomes.append(NonEdgeOutcome(pair, res.status, res.stats.nodes))
-            if res.status == FOUND:
-                failures.append((pair, res.certificate))
-            elif res.status == EXHAUSTED and not exhausted:
+            status, nodes, cert = res.status, res.stats.nodes, res.certificate
+            if status == EXHAUSTED and not exhausted:
                 what = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
                 exhausted = str(budget.ran_out(what, start))
+        outcomes.append(NonEdgeOutcome(pair, status, nodes, cert))
+    failures = [o for o in outcomes if o.certificate]
     if failures:
         status = NOT_SATURATED
         reason = f"{len(failures)} non-edge(s) still admit a bad coloring"
     elif exhausted:
         status = INCONCLUSIVE
         reason = exhausted
+    elif ext.certificate is None:
+        status = NOT_SATURATED
+        reason = "graph admits no bad coloring"
     else:
         status = SATURATED
         reason = "every non-edge addition destroys all bad colorings"
-    return SaturationReport(
-        g.n,
-        k,
-        status,
-        ext.certificate,
-        tuple(failures),
-        tuple(outcomes),
-        reason,
-    )
+    return SaturationReport(g.n, k, status, ext.certificate, tuple(outcomes), reason)
 
 
 def is_ramsey_minimal(
@@ -268,32 +256,23 @@ def classify_k3_saturated(g: Graph) -> StructureClass:
             continue
         rest = full & ~(1 << y) & ~(1 << z)
         if (g.adj[y] | g.adj[z]) & rest == rest:
-            mask_a = g.adj[y] & g.adj[z]
-            mask_b = g.adj[y] & ~g.adj[z] & ~(1 << z)
-            mask_c = g.adj[z] & ~g.adj[y] & ~(1 << y)
-            cls = StructureClass(
-                "j",
-                y,
-                z,
-                tuple(bits(mask_a)),
-                tuple(bits(mask_b)),
-                tuple(bits(mask_c)),
+            masks = (
+                g.adj[y] & g.adj[z],
+                g.adj[y] & ~g.adj[z] & ~(1 << z),
+                g.adj[z] & ~g.adj[y] & ~(1 << y),
             )
-            _validate_j_split(g, cls)
-            return cls
+            _validate_j_split(g, *masks)
+            return StructureClass("j", y, z, *(tuple(bits(m)) for m in masks))
     raise GraphError("no covering non-adjacent pair found; graph is not J-shaped")
 
 
-def _validate_j_split(g: Graph, cls: StructureClass) -> None:
-    mask_a = sum(1 << v for v in cls.set_a)
-    mask_b = sum(1 << v for v in cls.set_b)
-    mask_c = sum(1 << v for v in cls.set_c)
-    ok = cls.a >= 1 and ((cls.b == 0) == (cls.c == 0))
-    for v in cls.set_a:
+def _validate_j_split(g: Graph, mask_a: int, mask_b: int, mask_c: int) -> None:
+    ok = mask_a != 0 and ((mask_b == 0) == (mask_c == 0))
+    for v in bits(mask_a):
         ok = ok and not g.adj[v] & (mask_a | mask_b | mask_c)
-    for v in cls.set_b:
+    for v in bits(mask_b):
         ok = ok and not g.adj[v] & mask_b and g.adj[v] & mask_c == mask_c
-    for v in cls.set_c:
+    for v in bits(mask_c):
         ok = ok and not g.adj[v] & mask_c
     if not ok:
         raise GraphError("covering pair does not induce a valid two-apex split")

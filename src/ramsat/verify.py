@@ -229,6 +229,8 @@ def criterion_8(quick: bool = False, budget: SearchBudget | None = None) -> str:
         scan = oracle.scan_k3_saturated(n, 2)
         if not scan:
             raise _Failed(f"no graphs found at n={n}")
+        min_m = scan[0][1]
+        minimizer_splits = []
         for g, m in scan:
             cls = saturation.classify_k3_saturated(g)
             if cls.tag != "j":
@@ -241,13 +243,12 @@ def criterion_8(quick: bool = False, budget: SearchBudget | None = None) -> str:
                 raise _Failed(
                     f"(|B|,|C|)=({b},{c}) not admissible for e=2n-{deficit} at n={n}"
                 )
+            if m == min_m:
+                minimizer_splits.append((b, c))
             checked += 1
-        min_m = scan[0][1]
         if min_m != 2 * n - 5:
             raise _Failed(f"minimum at n={n} is {min_m}, want {2*n-5}")
-        minimizers = (g for g, m in scan if m == min_m)
-        classes = map(saturation.classify_k3_saturated, minimizers)
-        if any(1 not in (cls.b, cls.c) for cls in classes):
+        if any(1 not in split for split in minimizer_splits):
             raise _Failed(f"minimizer without |B|=1 or |C|=1 at n={n}")
     return f"{checked} graphs over 5 <= n <= {max_n} all conform"
 
@@ -278,7 +279,7 @@ def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str
         budget = SearchBudget()
     start = budget.nodes_left
     # (a) every high-triangle edge is blue in every bad coloring
-    unique = {}
+    unique = {}  # each witness's graph and its unique bad coloring
     for spec, k in witnesses:
         g = build(spec).graph
         res = search.find_bad_coloring(g, k, budget)
@@ -286,7 +287,7 @@ def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str
             raise budget.ran_out(f"{spec.name}: search exhausted its budget", start)
         if not res.found:
             raise _Failed(f"{spec.name}: no bad coloring found")
-        unique[spec] = res.certificate
+        unique[spec] = g, res.certificate
         forced = forced_blue_edges(g, k)
         if not forced.applicable:
             raise _Failed(f"{spec.name}: threshold not applicable")
@@ -310,8 +311,8 @@ def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str
                 scanned += 1
     # (b) + (c) structure of the unique and the max-red colorings
     for spec, k in witnesses:
-        g = build(spec).graph
-        rep = saturation.check_certificate_structure(g, k, unique[spec])
+        g, cert = unique[spec]
+        rep = saturation.check_certificate_structure(g, k, cert)
         if rep.small_count_ok is not True or rep.red_complete_ok is False:
             raise _Failed(f"{spec.name}: small-component clauses fail: {rep}")
         mr = search.find_max_red_bad_coloring(g, k, budget)

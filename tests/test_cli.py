@@ -19,7 +19,7 @@ from ramsat import cli, oracle, verify
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import KINDS, ConstructionSpec, build
-from ramsat.graphs import complete, from_graph6, path, star
+from ramsat.graphs import complete, disjoint_union, from_graph6, path, star
 from ramsat.search import InconclusiveError, _Engine
 
 
@@ -125,6 +125,58 @@ def test_check_saturated_failure_exit(capsys, tmp_path):
     code, out, _ = run(capsys, ["check", "saturated", str(p), "--k", "4"])
     assert code == 1
     assert "saturated: False" in out
+
+
+# exit code and stdout digest of check saturated: (graph, k, EXTEND_CAP,
+# extra flags) -> {format: (code, sha256)}
+SATURATED_CASES = {
+    # the enumeration finds every failure
+    "star10": (
+        lambda: star(10),
+        4,
+        256,
+        [],
+        {
+            "text": (1, "cf1a48903dfa8358411f737a7ec569aa411a456ead89eccb7072410ba15b0ed8"),
+            "json": (1, "ff07428c3424c92d6fdfeeea9d695aa0a74709ed8f9da1b067a1808ff5ba3b84"),
+        },
+    ),
+    # the enumeration stops at one coloring; the per-non-edge searches find
+    # the rest
+    "fallback": (
+        lambda: disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11)),
+        3,
+        1,
+        [],
+        {
+            "text": (1, "7de6910891d6fc1448bcec733e1a557d3aef02443fe9422e3aa1f722492cc945"),
+            "json": (1, "bdb6ab5948131fa2734d1d8e01b1c9250b29cc2534c9bbbf73262bbc20e4eb26"),
+        },
+    ),
+    # the per-non-edge searches run out of the shared budget
+    "geven18": (
+        lambda: build(ConstructionSpec.geven(18)).graph,
+        4,
+        1,
+        ["--max-nodes", "10"],
+        {
+            "text": (3, "4ffb68f7b5173712132e0e24caa4e0de9d1b513adc776b4fa94b2595ef9cc0af"),
+            "json": (3, "b22034df5c7b01908a534ba3776232e4dbbcef59bd21fe837958bc337b9b2fcd"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", list(SATURATED_CASES))
+def test_check_saturated_output_is_pinned(capsys, monkeypatch, tmp_path, case, fmt):
+    make, k, cap, extra, want = SATURATED_CASES[case]
+    p = tmp_path / "g.g6"
+    p.write_text(make().to_graph6() + "\n")
+    monkeypatch.setattr("ramsat.search.EXTEND_CAP", cap)
+    argv = ["check", "saturated", str(p), "--k", str(k), "--format", fmt] + extra
+    code, out, err = run(capsys, argv)
+    assert (code, sha256(out), err) == (*want[fmt], "")
 
 
 def test_check_count(capsys, geven18_file):

@@ -210,6 +210,30 @@ def test_is_rmin_saturated_falls_back_past_the_cap():
     assert all(o.nodes == 0 for o in rep.non_edge_outcomes if o is not blocked)
 
 
+@pytest.mark.parametrize("cap", [None, 1])
+def test_failures_are_the_found_outcomes(monkeypatch, cap):
+    """Each found outcome holds its bad coloring of G+uv, whether the
+    enumeration or, with the cap at 1, the non-edge's own search found it;
+    ``failures`` lists exactly those, in non-edge order."""
+    if cap is not None:
+        monkeypatch.setattr(search, "EXTEND_CAP", cap)
+    fallback = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
+    geven18 = build(ConstructionSpec.geven(18)).graph
+    for g, k, failed in ((star(10), 4, 36), (fallback, 3, 102), (geven18, 4, 0)):
+        rep = is_rmin_saturated(g, k)
+        found = [o for o in rep.non_edge_outcomes if o.status == FOUND]
+        assert rep.failures == tuple((o.pair, o.certificate) for o in found)
+        assert len(found) == failed
+        for o in rep.non_edge_outcomes:
+            if o.status == FOUND:
+                assert o.certificate.verify(g.with_edge(*o.pair), k)
+            else:
+                assert o.certificate is None
+    # no non-edge is tried when G admits no bad coloring
+    rep = is_rmin_saturated(complete(7), 4)
+    assert rep.non_edge_outcomes == () and rep.failures == ()
+
+
 def test_is_rmin_saturated_matches_oracle_definition():
     """Report verdict equals the definition computed with the 2^m scan."""
     for n in range(1, 6):
