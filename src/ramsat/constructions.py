@@ -2,9 +2,10 @@
 
 Every builder returns the exact edge set given by its join lists, together
 with vertex-role labels and (where one exists) the intended reference
-coloring. Predicted edge counts come from direct join-list counting; for
-the general family the alternative printed closed form is kept as a
-separate diagnostic because it disagrees with the join lists by 2.
+coloring. Each kind's predicted edge count, in its ``KINDS`` row, comes
+from direct join-list counting; for the general family the alternative
+printed closed form is kept as a separate diagnostic because it disagrees
+with the join lists by 2.
 """
 
 from __future__ import annotations
@@ -215,97 +216,70 @@ def _build_petersen(spec: ConstructionSpec) -> BuiltConstruction:
     return BuiltConstruction(spec, g, roles)
 
 
-def _build_geven(spec: ConstructionSpec) -> BuiltConstruction:
+def _build_matched_core(
+    spec: ConstructionSpec,
+    names: tuple[str, ...],
+    core: list[tuple[int, int]],
+    core_blue: list[tuple[int, int]],
+) -> BuiltConstruction:
+    """The half that geven and godd share. Vertex i is the singleton role
+    ``names[i]`` (y = 0, z = 1) and ``core`` lists the edges among them;
+    H = the remaining vertices is a perfect matching joined to y and z. The
+    k = 4 reference coloring is blue on H's matching and on ``core_blue``."""
     (n,) = spec.params
-    # roles: y z y1 y2 y3 z1 z2 z3, then the matching H in pairs
-    y, z, y1, y2, y3, z1, z2, z3 = range(8)
-    h = tuple(range(8, n))
-    edges = [(h[i], h[i + 1]) for i in range(0, len(h), 2)]
-    edges += [(y, v) for v in h]
-    edges += [(y, v) for v in (y1, y2, y3, z1, z2, z3)]
-    edges += [(z, v) for v in h]
-    edges += [(z, v) for v in (y1, y2, y3, z1, z2)]
-    edges += [(y1, v) for v in (y2, z1, z2, z3)]
-    edges += [(y2, v) for v in (z1, z2, z3)]
-    edges += [(z1, z2), (z3, y3)]
-    g = Graph(n, edges)
-    roles = {
-        "y": (y,),
-        "z": (z,),
-        "y1": (y1,),
-        "y2": (y2,),
-        "y3": (y3,),
-        "z1": (z1,),
-        "z2": (z2,),
-        "z3": (z3,),
-        "H": h,
-    }
-    blue = [(h[i], h[i + 1]) for i in range(0, len(h), 2)]
-    blue += [(y, y1), (y, y2), (y1, y2), (z, z1), (z, z2), (z1, z2), (y3, z3)]
-    coloring = TwoColoring.from_blue_edges(g, blue)
+    h = tuple(range(len(names), n))
+    matching = list(zip(h[::2], h[1::2]))
+    g = Graph(n, matching + [(x, v) for x in (0, 1) for v in h] + core)
+    roles = {name: (v,) for v, name in enumerate(names)}
+    roles["H"] = h
+    coloring = TwoColoring.from_blue_edges(g, matching + core_blue)
     return BuiltConstruction(spec, g, roles, coloring, 4)
+
+
+def _build_geven(spec: ConstructionSpec) -> BuiltConstruction:
+    names = ("y", "z", "y1", "y2", "y3", "z1", "z2", "z3")
+    y, z, y1, y2, y3, z1, z2, z3 = range(len(names))
+    core = [(y, v) for v in (y1, y2, y3, z1, z2, z3)]
+    core += [(z, v) for v in (y1, y2, y3, z1, z2)]
+    core += [(y1, v) for v in (y2, z1, z2, z3)]
+    core += [(y2, v) for v in (z1, z2, z3)]
+    core += [(z1, z2), (z3, y3)]
+    blue = [(y, y1), (y, y2), (y1, y2), (z, z1), (z, z2), (z1, z2), (y3, z3)]
+    return _build_matched_core(spec, names, core, blue)
 
 
 def _build_godd(spec: ConstructionSpec) -> BuiltConstruction:
-    (n,) = spec.params
-    y, z, y1, y2, y3, y4, z1, z2, z3 = range(9)
-    h = tuple(range(9, n))
-    edges = [(h[i], h[i + 1]) for i in range(0, len(h), 2)]
-    edges += [(y, v) for v in h]
-    edges += [(y, v) for v in (y1, z1, z2, z3)]
-    edges += [(z, v) for v in h]
-    edges += [(z, v) for v in (y1, y2, y3, y4, z1, z2, z3)]
-    edges += [(z1, v) for v in (y1, y2, y3, y4, z2)]
-    edges += [(z2, v) for v in (y1, y2, y3, y4)]
-    edges += [(y2, y3), (y4, z3)]
-    g = Graph(n, edges)
-    roles = {
-        "y": (y,),
-        "z": (z,),
-        "y1": (y1,),
-        "y2": (y2,),
-        "y3": (y3,),
-        "y4": (y4,),
-        "z1": (z1,),
-        "z2": (z2,),
-        "z3": (z3,),
-        "H": h,
-    }
-    blue = [(h[i], h[i + 1]) for i in range(0, len(h), 2)]
-    blue += [(z, z1), (z, z2), (z1, z2), (y, y1), (y2, y3), (y4, z3)]
-    coloring = TwoColoring.from_blue_edges(g, blue)
-    return BuiltConstruction(spec, g, roles, coloring, 4)
+    names = ("y", "z", "y1", "y2", "y3", "y4", "z1", "z2", "z3")
+    y, z, y1, y2, y3, y4, z1, z2, z3 = range(len(names))
+    core = [(y, v) for v in (y1, z1, z2, z3)]
+    core += [(z, v) for v in (y1, y2, y3, y4, z1, z2, z3)]
+    core += [(z1, v) for v in (y1, y2, y3, y4, z2)]
+    core += [(z2, v) for v in (y1, y2, y3, y4)]
+    core += [(y2, y3), (y4, z3)]
+    blue = [(z, z1), (z, z2), (z1, z2), (y, y1), (y2, y3), (y4, z3)]
+    return _build_matched_core(spec, names, core, blue)
 
 
-def _general_layout(k: int, n: int):
-    """Vertex blocks: y z u w, H1, H2 (K_{k-2}), H3, H4 (K_{q-1}), then the
-    s blocks of size q and t blocks of size q+1."""
+def _build_general(spec: ConstructionSpec) -> BuiltConstruction:
+    k, n = spec.params
     q = _half_up(k)
     s, t = general_split(k, n)
+    y, z, u, w = 0, 1, 2, 3
+    # Vertex blocks, each a clique: H1, H2 (K_{k-2}), H3, H4 (K_{q-1}), then
+    # the s blocks of size q and t blocks of size q+1.
     nxt = 4
     blocks: list[tuple[int, ...]] = []
     for size in [k - 2, k - 2, q - 1, q - 1] + [q] * s + [q + 1] * t:
         blocks.append(tuple(range(nxt, nxt + size)))
         nxt += size
     assert nxt == n
-    return q, s, t, blocks
-
-
-def _build_general(spec: ConstructionSpec) -> BuiltConstruction:
-    k, n = spec.params
-    q, s, t, blocks = _general_layout(k, n)
-    y, z, u, w = 0, 1, 2, 3
-    h1, h2, h3, h4 = blocks[0], blocks[1], blocks[2], blocks[3]
-    edges = []
-    for block in blocks:
-        edges += [(a, b) for i, a in enumerate(block) for b in block[i + 1 :]]
-    edges += [(a, b) for a in h1 for b in h2]
-    hv = [v for block in blocks for v in block]
-    edges += [(y, v) for v in hv]
-    edges.append((y, w))
-    edges += [(z, v) for v in hv]
-    edges.append((z, u))
-    edges.append((u, w))
+    h1, h2, h3, h4 = blocks[:4]
+    cliques = [
+        (a, b) for block in blocks for i, a in enumerate(block) for b in block[i + 1 :]
+    ]
+    edges = cliques + [(a, b) for a in h1 for b in h2]
+    edges += [(x, v) for x in (y, z) for v in range(4, n)]
+    edges += [(y, w), (z, u), (u, w)]
     edges += [(u, v) for v in h2 + h3]
     edges += [(w, v) for v in h1 + h4]
     g = Graph(n, edges)
@@ -323,13 +297,10 @@ def _build_general(spec: ConstructionSpec) -> BuiltConstruction:
         roles[f"S{i}"] = block
     for i, block in enumerate(blocks[4 + s :]):
         roles[f"T{i}"] = block
-    blue = []
-    for block in blocks:
-        blue += [(a, b) for i, a in enumerate(block) for b in block[i + 1 :]]
-    blue += [(y, v) for v in h1]
-    blue += [(z, v) for v in h2]
-    blue += [(u, v) for v in h3]
-    blue += [(w, v) for v in h4]
+    # blue: the cliques, and y, z, u, w each joined to H1, H2, H3, H4 in turn
+    blue = cliques + [
+        (x, v) for x, block in zip((y, z, u, w), blocks) for v in block
+    ]
     coloring = TwoColoring.from_blue_edges(g, blue)
     notes = ()
     if n < general_min_n(k) + 4:
@@ -342,21 +313,29 @@ def _build_general(spec: ConstructionSpec) -> BuiltConstruction:
 
 class Kind(NamedTuple):
     """A construction kind: its parameter names, in ``ConstructionSpec.params``
-    order, and its builder. c5dup's one name stands for all its
-    multiplicities."""
+    order, its builder, and its edge count taken straight from the builder's
+    join lists, as a function of the parameters. c5dup's one name stands for
+    all its multiplicities."""
 
     params: tuple[str, ...]
     builder: Callable[[ConstructionSpec], BuiltConstruction]
+    edge_count: Callable[..., int]
 
 
 KINDS = {
-    "star": Kind(("n",), _build_star),
-    "j": Kind(("a", "b", "c"), _build_j),
-    "c5dup": Kind(("multiplicities",), _build_c5dup),
-    "petersen": Kind((), _build_petersen),
-    "geven": Kind(("n",), _build_geven),
-    "godd": Kind(("n",), _build_godd),
-    "general": Kind(("k", "n"), _build_general),
+    "star": Kind(("n",), _build_star, lambda n: n - 1),
+    "j": Kind(("a", "b", "c"), _build_j, lambda a, b, c: 2 * (a + b + c) + b * c - b - c),
+    "c5dup": Kind(
+        ("multiplicities",),
+        _build_c5dup,
+        lambda *m: sum(m[i] * m[(i + 1) % 5] for i in range(5)),
+    ),
+    "petersen": Kind((), _build_petersen, lambda: 15),
+    "geven": Kind(("n",), _build_geven, lambda n: 5 * n // 2),
+    "godd": Kind(("n",), _build_godd, lambda n: (5 * n - 1) // 2),
+    "general": Kind(
+        ("k", "n"), _build_general, lambda k, n: 2 * (n - 3) + _general_join_tail(k, n)
+    ),
 }
 
 
@@ -365,24 +344,7 @@ KINDS = {
 
 def predicted_edge_count(spec: ConstructionSpec) -> int:
     spec.validate()
-    kind, p = spec.kind, spec.params
-    if kind == "star":
-        return p[0] - 1
-    if kind == "j":
-        a, b, c = p
-        n = a + b + c + 2
-        return 2 * (n - 2) + b * c - b - c
-    if kind == "c5dup":
-        return sum(p[i] * p[(i + 1) % 5] for i in range(5))
-    if kind == "petersen":
-        return 15
-    if kind == "geven":
-        return 5 * p[0] // 2
-    if kind == "godd":
-        return (5 * p[0] - 1) // 2
-    # general: direct join-list count
-    k, n = p
-    return 2 * (n - 3) + _general_join_tail(k, n)
+    return KINDS[spec.kind].edge_count(*spec.params)
 
 
 def general_printed_formula_edge_count(k: int, n: int) -> int:

@@ -76,6 +76,38 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and "no reference coloring" in err
 
 
+# exit code and stdout digest of construct --format text; the text lists
+# the roles in the builder's insertion order, which JSON output sorts away
+CONSTRUCT_TEXT_CASES = {
+    "geven18": (
+        ["geven", "--n", "18"],
+        "ddf9134a8b563036e1639b88b549d5d85a53365f2069c40d549c969c480c2825",
+    ),
+    "godd19-coloring": (
+        ["godd", "--n", "19", "--coloring"],
+        "6f80b209af35864bc364c3fe7b41febce7f03de630778e297765d1815a681601",
+    ),
+    # roles H1-H4 and the S blocks, the weaker-range note and the coloring
+    "general5-20-coloring": (
+        ["general", "--k", "5", "--n", "20", "--coloring"],
+        "e53af4660c619282cd43e6be3cfc5d03feb65f22bf0a6b8369ae683abf8433ab",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCT_TEXT_CASES))
+def test_construct_text_output_is_pinned(capsys, case):
+    args, digest = CONSTRUCT_TEXT_CASES[case]
+    code, out, err = run(capsys, ["construct"] + args + ["--format", "text"])
+    assert (code, sha256(out), err) == (0, digest, "")
+
+
+def test_construct_rejects_non_integer_multiplicities(capsys):
+    argv = ["construct", "c5dup", "--multiplicities", "2,x"]
+    want = "error: --multiplicities must be comma-separated integers\n"
+    assert run(capsys, argv) == (2, "", want)
+
+
 # one valid flag value per parameter of each construction kind
 KIND_FLAGS = {
     "star": {"n": "6"},
@@ -355,6 +387,13 @@ def test_non_ascii_bytes_in_graph6_input(capsys, monkeypatch, tmp_path, source):
     code, out, err = check(b"D~\xff{\n")
     assert code == 2 and out == ""
     assert err == "error: invalid graph6 character '\\udcff' (byte offset 2)\n"
+
+
+def test_check_rejects_a_truncated_long_header(capsys, tmp_path):
+    p = tmp_path / "in.g6"
+    p.write_text("~~\n")
+    want = "error: truncated 6-byte vertex count (byte offset 2)\n"
+    assert run(capsys, ["check", "count", str(p), "--k", "3"]) == (2, "", want)
 
 
 @pytest.mark.parametrize(

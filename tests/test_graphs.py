@@ -589,6 +589,21 @@ def test_graph6_errors_carry_offsets():
         from_graph6("A_extra")
 
 
+def test_graph6_long_headers():
+    # the 6-byte vertex count form, here for n = 3
+    g = from_graph6("~~?????B?")
+    assert g == Graph(3) and g.to_graph6() == "B?"
+    for text, what, offset in [
+        ("~~", "6-byte", 2),
+        ("~~????", "6-byte", 6),
+        ("~?", "3-byte", 2),
+    ]:
+        with pytest.raises(Graph6Error) as err:
+            from_graph6(text)
+        assert str(err.value) == f"truncated {what} vertex count (byte offset {offset})"
+        assert err.value.offset == offset
+
+
 def test_dot_output():
     b = build(ConstructionSpec.geven(18))
     plain = b.graph.to_dot()

@@ -35,6 +35,7 @@ from ramsat.saturation import (
     k3_saturated_edge_bound,
 )
 from ramsat.search import (
+    EXHAUSTED,
     FOUND,
     InconclusiveError,
     SearchBudget,
@@ -232,6 +233,24 @@ def test_failures_are_the_found_outcomes(monkeypatch, cap):
     # no non-edge is tried when G admits no bad coloring
     rep = is_rmin_saturated(complete(7), 4)
     assert rep.non_edge_outcomes == () and rep.failures == ()
+
+
+def test_enumeration_out_of_budget_after_its_first_coloring():
+    # the enumeration spends all six nodes: it finds G's first bad coloring
+    # and the 76 non-edges that coloring extends across, then runs out, so
+    # every other non-edge is exhausted without a search of its own
+    geven18 = build(ConstructionSpec.geven(18)).graph
+    g = disjoint_union(geven18, path(2), path(2))
+    rep = is_rmin_saturated(g, 4, SearchBudget(max_nodes=6))
+    assert rep.status == NOT_SATURATED
+    assert rep.reason == "76 non-edge(s) still admit a bad coloring"
+    found = [o for o in rep.non_edge_outcomes if o.status == FOUND]
+    rest = [o for o in rep.non_edge_outcomes if o.status != FOUND]
+    assert len(found) == 76 and len(rest) == 108
+    for o in found:
+        assert o.certificate.verify(g.with_edge(*o.pair), 4)
+    for o in rest:
+        assert (o.status, o.nodes, o.certificate) == (EXHAUSTED, 0, None)
 
 
 def test_is_rmin_saturated_matches_oracle_definition():

@@ -1,6 +1,8 @@
 """Search engine: exhaustiveness, certificates, budgets, oracle agreement."""
 
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -198,6 +200,24 @@ def test_one_budget_is_spent_across_searches():
     # a budget whose deadline has passed stops a search before presolve
     res = find_bad_coloring(star(10), 4, SearchBudget(max_seconds=0))
     assert res.status == EXHAUSTED and res.stats.nodes == 0
+
+
+def test_deadline_stops_the_dfs_part_way(monkeypatch):
+    # the clock jumps past the deadline after the search reads its start
+    # time, so the first wall-clock check in the DFS, at node 1024, stops it
+    budget = SearchBudget(max_seconds=60)
+    calls = 0
+    clock = time.perf_counter
+
+    def jumping():
+        nonlocal calls
+        calls += 1
+        return clock() + (1e6 if calls > 1 else 0)
+
+    monkeypatch.setattr("ramsat.search.time", SimpleNamespace(perf_counter=jumping))
+    res = count_bad_colorings(path(40), 3, budget=budget)
+    assert res.status == EXHAUSTED and res.stats.nodes == 1024
+    assert res.count == 987
 
 
 def test_determinism():
