@@ -7,7 +7,9 @@ State is a partial edge assignment plus two incremental structures:
 * a union-find over blue edges with size tracking and rollback — a blue
   assignment that would grow a component to k vertices is a conflict, and
   after every union each unassigned edge between the new component and a
-  component with k or more vertices together with it is forced red.
+  component with k or more vertices together with it is forced red. Roots
+  are kept flat: every vertex points at its root, so a find is one read,
+  and a union or its undo relabels the smaller component's vertices.
 
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
@@ -17,7 +19,8 @@ less one edge per triangle in a greedy packing of triangles that have no
 blue edge and share no unassigned edge, cannot beat the best coloring kept.
 One iterative driver serves find, count, max-red and the extension
 enumeration behind saturation, so search depth is bounded by memory, not
-by the interpreter's recursion limit.
+by the interpreter's recursion limit. Count settles the last unassigned
+edge's two leaves without assigning them (k >= 3, see ``_Engine._dfs``).
 """
 
 from __future__ import annotations
@@ -179,10 +182,7 @@ class _Engine:
     # -- incremental state -------------------------------------------------
 
     def _find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            v = parent[v]
-        return v
+        return self.parent[v]
 
     def _assign(self, e0: int, c0: int) -> bool:
         """Assign and propagate; False on conflict (caller must roll back)."""
@@ -190,6 +190,9 @@ class _Engine:
         color = self.color
         tri_red = self.tri_red
         tri_edges = self.tri_edges
+        parent = self.parent
+        size = self.size
+        members = self.members
         k = self.k
         while stack:
             e, c = stack.pop()
@@ -224,27 +227,30 @@ class _Engine:
                 if conflict:
                     return False
             else:
-                ru = self._find(self.eu[e])
-                rv = self._find(self.ev[e])
+                ru = parent[self.eu[e]]
+                rv = parent[self.ev[e]]
                 if ru != rv:
-                    su = self.size[ru]
-                    sv = self.size[rv]
+                    su = size[ru]
+                    sv = size[rv]
                     s = su + sv
                     if s >= k:
                         return False
                     if su < sv:
                         ru, rv = rv, ru
-                    self.parent[rv] = ru
-                    self.size[ru] = s
-                    self.members[ru].extend(self.members[rv])
+                    moved = members[rv]
+                    for x in moved:
+                        parent[x] = ru
+                    size[ru] = s
+                    joined = members[ru]
+                    joined.extend(moved)
                     self.union_trail.append((rv, ru))
                     # edges to a component with >= k - s vertices must be red
                     need = k - s
-                    for x in self.members[ru]:
+                    for x in joined:
                         for f, y in self.inc[x]:
                             if color[f] == UNASSIGNED:
-                                ry = self._find(y)
-                                if ry != ru and self.size[ry] >= need:
+                                ry = parent[y]
+                                if ry != ru and size[ry] >= need:
                                     stack.append((f, RED))
                                     self.stats.propagations += 1
         return True
@@ -260,7 +266,8 @@ class _Engine:
         members = self.members
         while len(union_trail) > ut:
             small, big = union_trail.pop()
-            parent[small] = small
+            for x in members[small]:
+                parent[x] = small
             ssz = size[small]
             size[big] -= ssz
             del members[big][-ssz:]
@@ -276,22 +283,6 @@ class _Engine:
             color[e] = UNASSIGNED
 
     # -- search driver -------------------------------------------------------
-
-    def _tick(self) -> None:
-        if self.stats.nodes >= self.budget.nodes_left:
-            raise _Budget()
-        self.stats.nodes += 1
-        if self.stats.nodes & _BUDGET_CHECK_MASK == 0:
-            if time.perf_counter() > self.budget.deadline:
-                raise _Budget()
-
-    def _next_unassigned(self, start: int) -> int:
-        order = self.order
-        color = self.color
-        i = start
-        while i < self.m and color[order[i]] != UNASSIGNED:
-            i += 1
-        return i
 
     def _presolve(self) -> bool:
         for e in forced_blue_edges(self.g, self.k).edges:
@@ -399,20 +390,49 @@ class _Engine:
         Each frame holds a branching edge, how many of its colors (red,
         then blue) were tried and the trail mark to undo to. With
         ``bound``, a node that cannot beat the best red count so far is
-        pruned (see ``_cannot_beat_best``).
+        pruned (see ``_cannot_beat_best``). A count node with one edge
+        left counts its two leaves without assigning them: at a
+        propagation fixpoint with k >= 3, red closes no red triangle (two
+        red edges would have forced it blue) and blue joins no components
+        of k or more vertices together (such an edge is forced red), and
+        neither color forces anything.
         """
+        m = self.m
+        order = self.order
+        color = self.color
+        color_trail = self.color_trail
+        union_trail = self.union_trail
+        stats = self.stats
+        budget = self.budget
+        in_place = leaf == self.tally and self.k >= 3
         stack: list[list] = []
         start = 0
         while True:
             if not (bound and self._cannot_beat_best()):
-                i = self._next_unassigned(start)
-                if i == self.m:
+                i = start
+                last = in_place and len(color_trail) == m - 1
+                if not last:
+                    while i < m and color[order[i]] != UNASSIGNED:
+                        i += 1
+                if i == m:
                     if leaf():
                         return
                 else:
-                    e = self.order[i]
-                    self._tick()
-                    stack.append([i, e, 0, self._mark()])
+                    if stats.nodes >= budget.nodes_left:
+                        raise _Budget()
+                    stats.nodes += 1
+                    if (
+                        stats.nodes & _BUDGET_CHECK_MASK == 0
+                        and time.perf_counter() > budget.deadline
+                    ):
+                        raise _Budget()
+                    if last:
+                        self.count = min(self.count + 2, self.cap)
+                        if self.count >= self.cap:
+                            return
+                    else:
+                        mark = (len(color_trail), len(union_trail))
+                        stack.append([i, order[i], 0, mark])
             while stack:
                 frame = stack[-1]
                 i, e, tried, mark = frame
@@ -425,7 +445,7 @@ class _Engine:
                 if self._assign(e, BLUE if tried else RED):
                     start = i + 1
                     break
-                self.stats.backtracks += 1
+                stats.backtracks += 1
             else:
                 return
 
@@ -463,9 +483,9 @@ def count_bad_colorings(
 
     Counts labeled colorings: no quotient by graph symmetry.
     """
-    engine = _Engine(g, k, budget)
     if cap < 1:
         raise GraphError(f"cap must be >= 1, got {cap}")
+    engine = _Engine(g, k, budget)
     engine.cap = cap
     status = EXHAUSTED if engine.run(engine.tally) == EXHAUSTED else OK
     return CountResult(status, engine.count, engine.stats)

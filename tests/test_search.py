@@ -23,7 +23,7 @@ from ramsat.graphs import (
     path,
     star,
 )
-from ramsat.oracle import brute_force_bad_colorings
+from ramsat.oracle import brute_force_bad_colorings, enumerate_graphs
 from ramsat.search import (
     EXHAUSTED,
     FOUND,
@@ -77,6 +77,70 @@ def test_count_examples():
         count_bad_colorings(complete(2), 3, cap=0)
     with pytest.raises(GraphError):
         count_bad_colorings(complete(2), 1)
+
+
+def test_bad_cap_is_rejected_before_the_engine_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("engine built for a bad cap")
+
+    monkeypatch.setattr(_Engine, "__init__", refuse)
+    with pytest.raises(GraphError, match=r"^cap must be >= 1, got 0$"):
+        count_bad_colorings(complete(4), 3, cap=0)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_count_matches_the_oracle_on_every_class(n):
+    """Odd caps stop between the last edge's two leaves; at k = 2 its blue
+    leaf always fails."""
+    for g in enumerate_graphs(n):
+        for k in (2, 3, 4, 5):
+            want = len(brute_force_bad_colorings(g, k))
+            for cap in (1, 2, 3, 1 << 62):
+                res = count_bad_colorings(g, k, cap=cap)
+                assert res.status == OK and res.count == min(want, cap)
+
+
+def _sparse_draws():
+    rng = random.Random(24)
+    pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    return [Graph(16, rng.sample(pairs, 34)) for _ in range(10)]
+
+
+def test_count_stats_are_pinned_on_sparse_draws():
+    """(count, nodes, backtracks, propagations) at k = 5, cap 10,001."""
+    got = []
+    for g in _sparse_draws():
+        res = count_bad_colorings(g, 5, cap=10_001)
+        stats = res.stats
+        got.append((res.count, stats.nodes, stats.backtracks, stats.propagations))
+    assert got == [
+        (10001, 10021, 7, 7300),
+        (10001, 10030, 21, 6072),
+        (190, 237, 48, 1148),
+        (4463, 4514, 52, 2640),
+        (94, 149, 56, 1451),
+        (7222, 7264, 43, 3109),
+        (10001, 10028, 10, 5177),
+        (9920, 10032, 113, 5851),
+        (10001, 10074, 66, 6125),
+        (10001, 10077, 67, 6291),
+    ]
+
+
+def test_count_leaves_the_last_edge_unassigned(monkeypatch):
+    """Assigning both colors of every last edge took 20,051 calls."""
+    assign = _Engine._assign
+    calls = 0
+
+    def counted(self, e, c):
+        nonlocal calls
+        calls += 1
+        return assign(self, e, c)
+
+    monkeypatch.setattr(_Engine, "_assign", counted)
+    res = count_bad_colorings(_sparse_draws()[1], 5, cap=10_001)
+    assert res.count == 10_001
+    assert calls <= 0.7 * 20_051
 
 
 def test_max_red_examples():
@@ -327,6 +391,13 @@ def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
     assert len(checked) > 1000
 
 
+def _assert_roots_are_flat(engine):
+    parent = engine.parent
+    for v in range(engine.g.n):
+        assert parent[parent[v]] == parent[v]
+        assert v in engine.members[parent[v]]
+
+
 def test_undo_to_root_restores_the_union_find():
     rng = random.Random(31)
     for _ in range(20):
@@ -339,11 +410,22 @@ def test_undo_to_root_restores_the_union_find():
             list(engine.size),
             [list(ms) for ms in engine.members],
         )
+        marks = [root]
         for e in rng.sample(range(g.m), g.m):
             mark = engine._mark()
-            if not engine._assign(e, rng.choice((RED, BLUE))):
+            ok = engine._assign(e, rng.choice((RED, BLUE)))
+            _assert_roots_are_flat(engine)
+            if ok:
+                marks.append(mark)
+            else:
                 engine._undo_to(mark)
+                _assert_roots_are_flat(engine)
+        # unwind the later kept assignments one at a time, then jump to root
+        for mark in reversed(marks[len(marks) // 2 + 1 :]):
+            engine._undo_to(mark)
+            _assert_roots_are_flat(engine)
         engine._undo_to(root)
+        _assert_roots_are_flat(engine)
         assert engine.parent == initial[0]
         assert engine.size == initial[1]
         assert engine.members == initial[2]
