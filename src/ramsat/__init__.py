@@ -26,6 +26,7 @@ from .graphs import (
     Graph6Error,
     GraphError,
     from_graph6,
+    is_kt_saturated,
 )
 from .oracle import (
     compute_sat,
@@ -38,7 +39,6 @@ from .saturation import (
     StructureClass,
     check_certificate_structure,
     classify_k3_saturated,
-    is_kt_saturated,
     is_ramsey_minimal,
     is_rmin_saturated,
     k3_saturated_edge_bound,

@@ -83,6 +83,41 @@ def is_2_connected(adj: Sequence[int]) -> bool:
     )
 
 
+def _has_clique(g: Graph, inside: int, size: int) -> bool:
+    if inside.bit_count() < size:
+        return False
+    if size <= 1:
+        return True
+    for v in bits(inside):
+        if _has_clique(g, inside & g.adj[v] & ~((1 << (v + 1)) - 1), size - 1):
+            return True
+        inside &= ~(1 << v)
+        if inside.bit_count() < size:
+            return False
+    return False
+
+
+def has_kt(g: Graph, t: int) -> bool:
+    """True iff g contains a complete subgraph on t vertices."""
+    if t <= 0:
+        return True
+    full = (1 << g.n) - 1
+    return _has_clique(g, full, t)
+
+
+def is_kt_saturated(g: Graph, t: int) -> bool:
+    """K_t-free, and every non-edge completes a K_t."""
+    if t < 3:
+        raise GraphError(f"is_kt_saturated requires t >= 3, got {t}")
+    if has_kt(g, t):
+        return False
+    for u, v in g.non_edges():
+        # a new K_t must use the new edge: K_{t-2} among common neighbors
+        if not _has_clique(g, g.adj[u] & g.adj[v], t - 2):
+            return False
+    return True
+
+
 class Graph:
     """Immutable simple graph: build once, query freely (thread-safe reads)."""
 

@@ -11,11 +11,8 @@ graph's clauses, listed by ``colorings.triangle_picks`` and
 ``colorings.subtree_picks`` as edge-index arrays tagged by graph, are
 folded into that graph's own row, in gathered chunks reduced per graph
 while the rows are narrow and one clause at a time in place once they are
-wide. The scans and the enumeration
-never consult the search engine, so engine results can be checked against
-them; only family_ramsey_number calls it, on complete graphs past the scan
-cap (K_8 and K_9 at k = 5), so criterion 7 of ``verify`` (k = 3, 4) rests
-on scans alone. Graph enumeration is orderly generation with
+wide. Nothing here imports the search engine, so engine results can be
+checked against it. Graph enumeration is orderly generation with
 canonical-form rejection: one mask over all parents of a level, from
 ``graphs.lower_twins``, drops the one-vertex extensions that a twin swap
 of the parent maps to an earlier one; the rest are built as adjacency rows
@@ -36,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import search
 from .colorings import subtree_picks, triangle_picks
 from .graphs import (
     CANONICAL_BATCH,
@@ -46,14 +42,13 @@ from .graphs import (
     bits,
     canonical_forms,
     complete,
+    is_kt_saturated,
     lower_twins,
 )
-from .saturation import is_kt_saturated
-from .search import EXHAUSTED, FOUND, SearchBudget
 
 MAX_ENUM_N = 7
 MAX_SCAN_EDGES = 24
-MAX_RAMSEY_K = 5
+MAX_RAMSEY_K = 4
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,35 +286,16 @@ def compute_sat(n: int, k: int) -> SatResult:
     return SatResult(n, k, best, tuple(extremal), len(classes))
 
 
-def family_ramsey_number(k: int, budget: SearchBudget | None = None) -> int:
+def family_ramsey_number(k: int) -> int:
     """Least n such that every coloring of K_n has a red triangle or a blue
-    k-vertex tree.
-
-    Uses the full scan while K_n has at most MAX_SCAN_EDGES edges, and
-    ``search.find_bad_coloring`` beyond (K_8 and K_9 at k = 5), so it is
-    not independent of the engine there; k <= 4 rests on scans alone. The
-    value is reached quickly because the large complete graphs collapse
-    under the forced-blue presolve. All engine searches draw on
-    ``budget``, a fresh default one when None.
-    """
+    k-vertex tree, by full scans of K_1, K_2, ...; K_7 is the largest
+    complete graph within MAX_SCAN_EDGES, so k <= MAX_RAMSEY_K."""
     if not 2 <= k <= MAX_RAMSEY_K:
         raise GraphError(f"family_ramsey_number supports 2 <= k <= {MAX_RAMSEY_K}")
-    if budget is None:
-        budget = SearchBudget()
-    start = budget.nodes_left
     n = 1
-    while True:
-        g = complete(n)
-        if g.m <= MAX_SCAN_EDGES:
-            exists = len(brute_force_bad_colorings(g, k)) > 0
-        else:
-            res = search.find_bad_coloring(g, k, budget)
-            if res.status == EXHAUSTED:
-                raise budget.ran_out(f"search on K_{n} exhausted its budget", start)
-            exists = res.status == FOUND
-        if not exists:
-            return n
+    while len(brute_force_bad_colorings(complete(n), k)):
         n += 1
+    return n
 
 
 def scan_k3_saturated(n: int, delta: int) -> tuple[tuple[Graph, int], ...]:

@@ -170,7 +170,6 @@ class _Engine:
         # static branch order: densest-in-triangles first, index breaks ties
         self.order = sorted(range(self.m), key=lambda e: (-len(self.tris_of[e]), e))
         self.stats = SearchStats()
-        self._start = 0.0
         self.best: BadColoringCertificate | None = None
         self.best_red = -1
         self.count = 0
@@ -180,9 +179,6 @@ class _Engine:
         self.capped = False
 
     # -- incremental state -------------------------------------------------
-
-    def _find(self, v: int) -> int:
-        return self.parent[v]
 
     def _assign(self, e0: int, c0: int) -> bool:
         """Assign and propagate; False on conflict (caller must roll back)."""
@@ -329,6 +325,7 @@ class _Engine:
                 v = self.ev[e]
                 radj[u] |= 1 << v
                 radj[v] |= 1 << u
+        parent = self.parent
         size = self.size
         still = []
         snapshot = None
@@ -336,8 +333,8 @@ class _Engine:
             if not radj[u] & radj[v]:
                 c = RED
             else:
-                ru = self._find(u)
-                rv = self._find(v)
+                ru = parent[u]
+                rv = parent[v]
                 if ru != rv and size[ru] + size[rv] >= self.k:
                     still.append((u, v))
                     continue
@@ -453,16 +450,16 @@ class _Engine:
         """Presolve, then search: EXHAUSTED when the budget ran out first,
         else FOUND or NONE by whether a leaf kept a coloring. The nodes
         searched are charged to the budget."""
-        self._start = time.perf_counter()
+        start = time.perf_counter()
         try:
-            if self._start >= self.budget.deadline:
+            if start >= self.budget.deadline:
                 raise _Budget()
             if self._presolve():
                 self._dfs(leaf, bound)
         except _Budget:
             return EXHAUSTED
         finally:
-            self.stats.wall_time = time.perf_counter() - self._start
+            self.stats.wall_time = time.perf_counter() - start
             self.budget.nodes_left -= self.stats.nodes
         return NONE if self.best is None else FOUND
 

@@ -27,7 +27,7 @@ from .constructions import (
     predicted_edge_count,
     theorem_bounds,
 )
-from .graphs import petersen
+from .graphs import is_kt_saturated, petersen
 from .search import OK, InconclusiveError, SearchBudget
 
 # Admissible (|B|, |C|) with |B| <= |C| for each deficit e = 2n - k
@@ -206,7 +206,7 @@ def criterion_6(quick: bool = False, budget: SearchBudget | None = None) -> str:
 @_criterion(7, "sat(n,k) = C(n,2) below the family Ramsey number; r(3)=5, r(4)=7")
 def criterion_7(budget: SearchBudget | None = None) -> str:
     _check_deadline(budget, "before the scans")
-    rams = {k: oracle.family_ramsey_number(k, budget) for k in (3, 4)}
+    rams = {k: oracle.family_ramsey_number(k) for k in (3, 4)}
     if rams != {3: 5, 4: 7}:
         raise _Failed(f"family Ramsey numbers {rams}")
     bad = []
@@ -256,7 +256,7 @@ def criterion_8(quick: bool = False, budget: SearchBudget | None = None) -> str:
 @_criterion(9, "Petersen: K3-saturated, min degree 3, 15 = 3n-15 edges, bound tight")
 def criterion_9() -> str:
     p = petersen()
-    saturated = saturation.is_kt_saturated(p, 3)
+    saturated = is_kt_saturated(p, 3)
     bound = saturation.k3_saturated_edge_bound(p)
     details = (
         f"saturated={saturated}, delta={p.min_degree()},"

@@ -18,8 +18,7 @@ from ramsat.constructions import (
     prop1_upper_bound,
     theorem_bounds,
 )
-from ramsat.graphs import GraphError, complete_bipartite
-from ramsat.saturation import is_kt_saturated
+from ramsat.graphs import GraphError, complete_bipartite, is_kt_saturated
 from ramsat.search import find_bad_coloring
 
 

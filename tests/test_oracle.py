@@ -1,8 +1,10 @@
 """Enumeration oracle: class counts, full scans, sat values, Ramsey numbers."""
 
+import ast
 import functools
 import hashlib
 import operator
+import pathlib
 import random
 from itertools import combinations
 from math import comb
@@ -345,7 +347,8 @@ def test_compute_sat_at_the_cap():
 
 def test_compute_sat_equals_binomial_below_ramsey():
     for k in (3, 4, 5):
-        r = family_ramsey_number(k)
+        # r(K3, T_k) = 2k - 1 (Chvatal); the scans reach it only for k <= 4
+        r = family_ramsey_number(k) if k <= oracle.MAX_RAMSEY_K else 2 * k - 1
         for n in range(2, min(r, 7)):
             assert compute_sat(n, k).min_edges == comb(n, 2), (n, k)
 
@@ -360,9 +363,9 @@ def test_family_ramsey_numbers():
     assert family_ramsey_number(2) == 3
     assert family_ramsey_number(3) == 5
     assert family_ramsey_number(4) == 7
-    assert family_ramsey_number(5) == 9
-    with pytest.raises(GraphError):
-        family_ramsey_number(6)
+    for k in (1, 5):
+        with pytest.raises(GraphError, match="2 <= k <= 4"):
+            family_ramsey_number(k)
 
 
 def test_scan_k3_saturated():
@@ -387,3 +390,26 @@ def test_scan_k3_saturated_pinned_at_eight(delta, graph6s):
     # taken from the scan over all 12,346 classes on 8 vertices, before the
     # scan learnt to filter only the triangle-free ones
     assert [g.to_graph6() for g, _ in scan_k3_saturated(8, delta)] == graph6s
+
+
+def _package_imports(path):
+    """Modules of the package that the source file at ``path`` imports."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import search`` and ``from .graphs import Graph`` alike
+            base = ".".join(filter(None, ["ramsat" if node.level else "", node.module]))
+            names += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("ramsat.")}
+
+
+def test_ground_truth_imports_no_engine_code():
+    src = pathlib.Path(oracle.__file__).parent
+    imports = {p.stem: _package_imports(p) for p in sorted(src.glob("*.py"))}
+    assert {"search", "saturation", "verify"} <= imports.keys()
+    assert "search" in imports["saturation"]  # the walk sees relative imports
+    ground_truth = {"graphs", "colorings"}
+    for module in ("graphs", "colorings", "oracle"):
+        assert imports[module] <= ground_truth, (module, imports[module])

@@ -17,6 +17,8 @@ from ramsat.graphs import (
     cycle,
     disjoint_union,
     from_graph6,
+    has_kt,
+    is_kt_saturated,
     path,
     petersen,
     star,
@@ -28,8 +30,6 @@ from ramsat.saturation import (
     SATURATED,
     check_certificate_structure,
     classify_k3_saturated,
-    has_kt,
-    is_kt_saturated,
     is_ramsey_minimal,
     is_rmin_saturated,
     k3_saturated_edge_bound,

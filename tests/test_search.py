@@ -60,6 +60,13 @@ def test_find_examples():
     assert is_bad_coloring(complete(6), 4, witness)
 
 
+def test_ramsey_number_at_k5_through_the_engine():
+    # r(K3, T_5) = 9 (Chvatal): K_8 and K_9 lie past the oracle's scan cap
+    res = find_bad_coloring(complete(8), 5)
+    assert res.found and res.certificate.verify(complete(8), 5)
+    assert find_bad_coloring(complete(9), 5).status == NONE
+
+
 def test_find_on_degenerate_inputs():
     assert find_bad_coloring(Graph(0), 3).found
     res = find_bad_coloring(Graph(5), 3)  # edgeless
@@ -373,8 +380,8 @@ def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
         if ok:
             for f in range(self.m):
                 if self.color[f] == UNASSIGNED:
-                    ru = self._find(self.eu[f])
-                    rv = self._find(self.ev[f])
+                    ru = self.parent[self.eu[f]]
+                    rv = self.parent[self.ev[f]]
                     assert ru == rv or self.size[ru] + self.size[rv] < self.k
             checked.append(e)
         return ok
