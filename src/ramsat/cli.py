@@ -265,11 +265,12 @@ def _cmd_check(args) -> int:
     if args.predicate == "saturated":
         rep = saturation.is_rmin_saturated(g, k, budget)
         if args.format == "json":
-            _emit(_json(rep.as_dict(g)), None)
+            _emit(_json(rep.as_dict()), None)
         else:
             lines = [f"saturated: {rep.verdict} ({rep.status})", rep.reason]
-            for pair, _cert in rep.failures:
-                lines.append(f"  non-edge {pair} still admits a bad coloring")
+            for o in rep.non_edge_outcomes:
+                if o.status == FOUND:
+                    lines.append(f"  non-edge {o.pair} still admits a bad coloring")
             _emit("\n".join(lines) + "\n", None)
         if rep.status == saturation.SATURATED:
             return EXIT_OK

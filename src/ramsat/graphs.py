@@ -232,12 +232,6 @@ class Graph:
             self._tri_cache = tuple(etris)
         return self._tri_cache
 
-    def is_triangle_free(self) -> bool:
-        for u, v in self.edges:
-            if self.adj[u] & self.adj[v]:
-                return False
-        return True
-
     # -- canonical form ---------------------------------------------------
 
     def canonical_form(self) -> bytes:

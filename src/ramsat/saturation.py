@@ -32,12 +32,12 @@ class NonEdgeOutcome:
     pair: tuple[int, int]
     status: str  # found | none | budget-exhausted
     nodes: int
-    certificate: BadColoringCertificate | None = None  # of G+uv, when found
+    colors: tuple[int, ...] | None = None  # bad coloring of G+uv, when found
 
 
 @dataclass
 class SaturationReport:
-    n: int
+    graph: Graph
     k: int
     status: str  # saturated | not-saturated | inconclusive
     base_certificate: BadColoringCertificate | None
@@ -50,13 +50,19 @@ class SaturationReport:
 
     @property
     def failures(self) -> tuple[tuple[tuple[int, int], BadColoringCertificate], ...]:
-        """Each non-edge whose outcome holds a bad coloring of G+uv, with it."""
-        outcomes = self.non_edge_outcomes
-        return tuple((o.pair, o.certificate) for o in outcomes if o.certificate)
+        """Each found non-edge uv, in non-edge order, with its coloring of
+        G+uv certified afresh on every read."""
+        g, k = self.graph, self.k
+        return tuple(
+            (o.pair, make_certificate(g.with_edge(*o.pair), k, TwoColoring(o.colors)))
+            for o in self.non_edge_outcomes
+            if o.status == FOUND
+        )
 
-    def as_dict(self, g: Graph) -> dict:
+    def as_dict(self) -> dict:
+        g = self.graph
         return {
-            "n": self.n,
+            "n": g.n,
             "k": self.k,
             "status": self.status,
             "reason": self.reason,
@@ -90,7 +96,8 @@ def is_rmin_saturated(
     enumeration ends without one. A non-edge still open when the
     enumeration stops at ``search.EXTEND_CAP`` colorings gets a search of
     g+uv of its own. A non-edge's ``nodes`` counts that own search only, so
-    it is 0 for one the enumeration settled.
+    it is 0 for one the enumeration settled. A failing non-edge keeps the
+    bad coloring of g+uv that was found; ``failures`` certifies it.
 
     A single surviving non-edge settles 'not saturated' even if other
     searches ran out of budget; 'inconclusive' is reported only when no
@@ -98,8 +105,6 @@ def is_rmin_saturated(
     names that search and how many nodes the whole check drew. All
     searches draw on ``budget``, a fresh default one when None.
     """
-    if k < 2:
-        raise GraphError(f"k must be >= 2, got {k}")
     if budget is None:
         budget = SearchBudget()
     start = budget.nodes_left
@@ -110,28 +115,26 @@ def is_rmin_saturated(
         exhausted = str(budget.ran_out(what, start))
     outcomes = []
     for pair in g.non_edges() if ext.certificate else ():
-        nodes, cert = 0, None
-        if pair in ext.extensions:
-            colors, c = ext.extensions[pair]
-            h = g.with_edge(*pair)
-            i = h.edge_index(*pair)
-            coloring = TwoColoring(colors[:i] + (c,) + colors[i:])
-            status, cert = FOUND, make_certificate(h, k, coloring)
+        nodes, colors = 0, ext.extensions.get(pair)
+        if colors is not None:
+            status = FOUND
         elif ext.complete:
             status = NONE
         elif ext.status == EXHAUSTED:
             status = EXHAUSTED
         else:
             res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
-            status, nodes, cert = res.status, res.stats.nodes, res.certificate
+            status, nodes = res.status, res.stats.nodes
+            if status == FOUND:
+                colors = res.certificate.coloring.colors
             if status == EXHAUSTED and not exhausted:
                 what = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
                 exhausted = str(budget.ran_out(what, start))
-        outcomes.append(NonEdgeOutcome(pair, status, nodes, cert))
-    failures = [o for o in outcomes if o.certificate]
-    if failures:
+        outcomes.append(NonEdgeOutcome(pair, status, nodes, colors))
+    failed = sum(o.status == FOUND for o in outcomes)
+    if failed:
         status = NOT_SATURATED
-        reason = f"{len(failures)} non-edge(s) still admit a bad coloring"
+        reason = f"{failed} non-edge(s) still admit a bad coloring"
     elif exhausted:
         status = INCONCLUSIVE
         reason = exhausted
@@ -141,7 +144,7 @@ def is_rmin_saturated(
     else:
         status = SATURATED
         reason = "every non-edge addition destroys all bad colorings"
-    return SaturationReport(g.n, k, status, ext.certificate, tuple(outcomes), reason)
+    return SaturationReport(g, k, status, ext.certificate, tuple(outcomes), reason)
 
 
 def is_ramsey_minimal(
@@ -153,8 +156,6 @@ def is_ramsey_minimal(
     all of them draw on, a fresh default one when None; its reason names
     that sub-search and the nodes all of them drew.
     """
-    if k < 2:
-        raise GraphError(f"k must be >= 2, got {k}")
     if budget is None:
         budget = SearchBudget()
     start = budget.nodes_left

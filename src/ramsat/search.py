@@ -26,6 +26,7 @@ edge's two leaves without assigning them (k >= 3, see ``_Engine._dfs``).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .colorings import (
@@ -119,8 +120,8 @@ class ExtendResult:
     """Bad colorings of G tried as extensions across its non-edges.
 
     ``certificate`` is the first coloring, the one find returns.
-    ``extensions`` maps each non-edge some coloring extends across to that
-    coloring (colors in G's edge order) and the color the non-edge takes.
+    ``extensions`` maps each non-edge uv some coloring extends across to
+    that bad coloring of G+uv, colors in G+uv's edge order.
     ``complete`` means every bad coloring of G was tried, so G+uv has no
     bad coloring for a non-edge ``uv`` missing from ``extensions``; it is
     False when the budget ran out or the enumeration stopped at
@@ -129,7 +130,7 @@ class ExtendResult:
 
     status: str  # found | none | budget-exhausted
     certificate: BadColoringCertificate | None
-    extensions: dict[tuple[int, int], tuple[tuple[int, ...], int]]
+    extensions: dict[tuple[int, int], tuple[int, ...]]
     complete: bool
     stats: SearchStats
 
@@ -175,7 +176,7 @@ class _Engine:
         self.count = 0
         self.cap = 0
         self.open: list[tuple[int, int]] = []
-        self.extensions: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        self.extensions: dict[tuple[int, int], tuple[int, ...]] = {}
         self.capped = False
 
     # -- incremental state -------------------------------------------------
@@ -341,7 +342,8 @@ class _Engine:
                 c = BLUE
             if snapshot is None:
                 snapshot = tuple(color)
-            self.extensions[(u, v)] = (snapshot, c)
+            i = bisect_left(self.g.edges, (u, v))  # uv's index in G+uv
+            self.extensions[(u, v)] = snapshot[:i] + (c,) + snapshot[i:]
         self.open = still
         self.capped = bool(still) and self.count >= EXTEND_CAP
         return not still or self.capped
@@ -381,18 +383,18 @@ class _Engine:
                 return True
         return False
 
-    def _dfs(self, leaf, bound: bool) -> None:
+    def _dfs(self, leaf) -> None:
         """Depth-first search over the static branch order.
 
         Each frame holds a branching edge, how many of its colors (red,
-        then blue) were tried and the trail mark to undo to. With
-        ``bound``, a node that cannot beat the best red count so far is
-        pruned (see ``_cannot_beat_best``). A count node with one edge
-        left counts its two leaves without assigning them: at a
-        propagation fixpoint with k >= 3, red closes no red triangle (two
-        red edges would have forced it blue) and blue joins no components
-        of k or more vertices together (such an edge is forced red), and
-        neither color forces anything.
+        then blue) were tried and the trail mark to undo to. Under max-red,
+        a node that cannot beat the best red count so far is pruned (see
+        ``_cannot_beat_best``). A count node with one edge left counts its
+        two leaves without assigning them: at a propagation fixpoint with
+        k >= 3, red closes no red triangle (two red edges would have forced
+        it blue) and blue joins no components of k or more vertices
+        together (such an edge is forced red), and neither color forces
+        anything.
         """
         m = self.m
         order = self.order
@@ -401,6 +403,7 @@ class _Engine:
         union_trail = self.union_trail
         stats = self.stats
         budget = self.budget
+        bound = leaf == self.keep_reddest
         in_place = leaf == self.tally and self.k >= 3
         stack: list[list] = []
         start = 0
@@ -446,7 +449,7 @@ class _Engine:
             else:
                 return
 
-    def run(self, leaf, bound: bool = False) -> str:
+    def run(self, leaf) -> str:
         """Presolve, then search: EXHAUSTED when the budget ran out first,
         else FOUND or NONE by whether a leaf kept a coloring. The nodes
         searched are charged to the budget."""
@@ -455,7 +458,7 @@ class _Engine:
             if start >= self.budget.deadline:
                 raise _Budget()
             if self._presolve():
-                self._dfs(leaf, bound)
+                self._dfs(leaf)
         except _Budget:
             return EXHAUSTED
         finally:
@@ -497,7 +500,7 @@ def find_max_red_bad_coloring(
     its optimality is not claimed.
     """
     engine = _Engine(g, k, budget)
-    status = engine.run(engine.keep_reddest, bound=True)
+    status = engine.run(engine.keep_reddest)
     return FindResult(status, engine.best, engine.stats)
 
 

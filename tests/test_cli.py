@@ -173,6 +173,17 @@ SATURATED_CASES = {
             "json": (1, "ff07428c3424c92d6fdfeeea9d695aa0a74709ed8f9da1b067a1808ff5ba3b84"),
         },
     ),
+    # 406 failing non-edges, each found by the enumeration
+    "star30": (
+        lambda: star(30),
+        3,
+        256,
+        [],
+        {
+            "text": (1, "a94e59df025e79a9876a1adf3ad532ed15bbb8828ce2d50413dc6b353f2cf333"),
+            "json": (1, "fa61ee85f79d4ed2447144f24214ed159f546a2557542be51018794a22039c1b"),
+        },
+    ),
     # the enumeration stops at one coloring; the per-non-edge searches find
     # the rest
     "fallback": (

@@ -24,6 +24,7 @@ from ramsat.graphs import (
     disjoint_union,
     empty,
     from_graph6,
+    has_kt,
     is_2_connected,
     path,
     petersen,
@@ -93,7 +94,7 @@ def test_degenerate_graphs_are_legal():
     assert g.m == 0
     assert component_masks(g.adj, 0) == []
     assert not is_2_connected(g.adj)
-    assert g.is_triangle_free()
+    assert not has_kt(g, 3)
     assert g.canonical_form() == b"\x00"
     assert component_masks(empty(3).adj, 0b111) == [0b001, 0b010, 0b100]
 
@@ -184,13 +185,13 @@ def test_component_count_never_grows_under_edge_addition():
 
 
 def test_is_triangle_free():
-    assert cycle(5).is_triangle_free()
-    assert not complete(3).is_triangle_free()
-    assert petersen().is_triangle_free()
+    assert not has_kt(cycle(5), 3)
+    assert has_kt(complete(3), 3)
+    assert not has_kt(petersen(), 3)
     gen = build(ConstructionSpec.general(5, 20))
     colors = gen.reference_coloring.colors
     red = Graph(gen.graph.n, (e for e, c in zip(gen.graph.edges, colors) if c == RED))
-    assert red.is_triangle_free()
+    assert not has_kt(red, 3)
 
 
 def brute_force_is_2_connected(g):

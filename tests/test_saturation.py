@@ -1,13 +1,15 @@
 """Saturation predicates, minimality, and structure classification."""
 
+import json
 import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from ramsat import search
-from ramsat.colorings import RED, BadColoringCertificate, TwoColoring
+from ramsat import saturation, search
+from ramsat.cli import main
+from ramsat.colorings import RED, BadColoringCertificate, TwoColoring, make_certificate
 from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
     Graph,
@@ -215,7 +217,7 @@ def test_is_rmin_saturated_falls_back_past_the_cap():
 def test_failures_are_the_found_outcomes(monkeypatch, cap):
     """Each found outcome holds its bad coloring of G+uv, whether the
     enumeration or, with the cap at 1, the non-edge's own search found it;
-    ``failures`` lists exactly those, in non-edge order."""
+    ``failures`` certifies exactly those, in non-edge order."""
     if cap is not None:
         monkeypatch.setattr(search, "EXTEND_CAP", cap)
     fallback = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
@@ -223,13 +225,17 @@ def test_failures_are_the_found_outcomes(monkeypatch, cap):
     for g, k, failed in ((star(10), 4, 36), (fallback, 3, 102), (geven18, 4, 0)):
         rep = is_rmin_saturated(g, k)
         found = [o for o in rep.non_edge_outcomes if o.status == FOUND]
-        assert rep.failures == tuple((o.pair, o.certificate) for o in found)
+        failures = rep.failures
+        assert [pair for pair, _ in failures] == [o.pair for o in found]
+        assert [cert.coloring.colors for _, cert in failures] == [
+            o.colors for o in found
+        ]
         assert len(found) == failed
+        for pair, cert in failures:
+            assert cert.verify(g.with_edge(*pair), k)
         for o in rep.non_edge_outcomes:
-            if o.status == FOUND:
-                assert o.certificate.verify(g.with_edge(*o.pair), k)
-            else:
-                assert o.certificate is None
+            if o.status != FOUND:
+                assert o.colors is None
     # no non-edge is tried when G admits no bad coloring
     rep = is_rmin_saturated(complete(7), 4)
     assert rep.non_edge_outcomes == () and rep.failures == ()
@@ -247,10 +253,39 @@ def test_enumeration_out_of_budget_after_its_first_coloring():
     found = [o for o in rep.non_edge_outcomes if o.status == FOUND]
     rest = [o for o in rep.non_edge_outcomes if o.status != FOUND]
     assert len(found) == 76 and len(rest) == 108
-    for o in found:
-        assert o.certificate.verify(g.with_edge(*o.pair), 4)
+    failures = rep.failures
+    assert [pair for pair, _ in failures] == [o.pair for o in found]
+    for pair, cert in failures:
+        assert cert.verify(g.with_edge(*pair), 4)
     for o in rest:
-        assert (o.status, o.nodes, o.certificate) == (EXHAUSTED, 0, None)
+        assert (o.status, o.nodes, o.colors) == (EXHAUSTED, 0, None)
+
+
+def test_failures_are_certified_only_when_read(monkeypatch, capsys, tmp_path):
+    """Deciding and text output certify nothing; each read of ``failures``,
+    and so JSON output, certifies every failing non-edge once."""
+    made = []
+
+    def counting(h, k, coloring):
+        made.append(h)
+        return make_certificate(h, k, coloring)
+
+    monkeypatch.setattr(saturation, "make_certificate", counting)
+    g = star(10)
+    rep = is_rmin_saturated(g, 4)
+    assert made == []
+    p = tmp_path / "star10.g6"
+    p.write_text(g.to_graph6() + "\n")
+    assert main(["check", "saturated", str(p), "--k", "4"]) == 1
+    assert made == [] and capsys.readouterr().out.count("still admits") == 36
+    failures = rep.failures
+    assert len(made) == len(failures) == 36
+    for pair, cert in failures:
+        assert cert.verify(g.with_edge(*pair), 4)
+    assert len(rep.failures) == 36 and len(made) == 72
+    made.clear()
+    assert main(["check", "saturated", str(p), "--k", "4", "--format", "json"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["failures"]) == len(made) == 36
 
 
 def test_is_rmin_saturated_matches_oracle_definition():
@@ -424,6 +459,6 @@ def test_small_component_clause_with_two_components():
 def test_saturation_report_serialization():
     g = star(5)
     rep = is_rmin_saturated(g, 3)
-    payload = rep.as_dict(g)
-    assert payload["status"] == rep.status
+    payload = rep.as_dict()
+    assert payload["n"] == g.n and payload["status"] == rep.status
     assert isinstance(payload["non_edges_checked"], list)
