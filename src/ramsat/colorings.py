@@ -160,10 +160,11 @@ def forced_blue_edges(g: Graph, k: int) -> ForcedBlueResult:
     if g.n < k + 2 or k < 3:
         return ForcedBlueResult((), False)
     threshold = 2 * k - 3
+    adj = g.adj
     forced = tuple(
         i
         for i, (u, v) in enumerate(g.edges)
-        if g.common_neighbor_count(u, v) >= threshold
+        if (adj[u] & adj[v]).bit_count() >= threshold
     )
     return ForcedBlueResult(forced, True)
 

@@ -10,6 +10,7 @@ carry edges.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,10 +30,23 @@ INCONCLUSIVE = "inconclusive"
 # slots: one record per non-edge, so its build and reads are on the hot path
 @dataclass(frozen=True, slots=True)
 class NonEdgeOutcome:
+    """A non-edge's verdict. When found, ``extension`` is the bad coloring
+    of G+uv as ``search.ExtendResult.extensions`` holds it: a coloring of
+    G, shared with the other non-edges it closes, uv's index in G+uv's edge
+    order and uv's color."""
+
     pair: tuple[int, int]
     status: str  # found | none | budget-exhausted
     nodes: int
-    colors: tuple[int, ...] | None = None  # bad coloring of G+uv, when found
+    extension: search.Extension | None = None
+
+    @property
+    def colors(self) -> tuple[int, ...] | None:
+        """The bad coloring of G+uv, when found, built on each read."""
+        if self.extension is None:
+            return None
+        colors, i, c = self.extension
+        return colors[:i] + (c,) + colors[i:]
 
 
 @dataclass
@@ -51,7 +65,7 @@ class SaturationReport:
     @property
     def failures(self) -> tuple[tuple[tuple[int, int], BadColoringCertificate], ...]:
         """Each found non-edge uv, in non-edge order, with its coloring of
-        G+uv certified afresh on every read."""
+        G+uv built and certified afresh on every read."""
         g, k = self.graph, self.k
         return tuple(
             (o.pair, make_certificate(g.with_edge(*o.pair), k, TwoColoring(o.colors)))
@@ -97,7 +111,9 @@ def is_rmin_saturated(
     enumeration stops at ``search.EXTEND_CAP`` colorings gets a search of
     g+uv of its own. A non-edge's ``nodes`` counts that own search only, so
     it is 0 for one the enumeration settled. A failing non-edge keeps the
-    bad coloring of g+uv that was found; ``failures`` certifies it.
+    bad coloring of g+uv that was found as g's coloring and uv's color, a
+    fallback's too; ``failures`` builds the coloring of g+uv and certifies
+    it.
 
     A single surviving non-edge settles 'not saturated' even if other
     searches ran out of budget; 'inconclusive' is reported only when no
@@ -115,8 +131,8 @@ def is_rmin_saturated(
         exhausted = str(budget.ran_out(what, start))
     outcomes = []
     for pair in g.non_edges() if ext.certificate else ():
-        nodes, colors = 0, ext.extensions.get(pair)
-        if colors is not None:
+        nodes, extension = 0, ext.extensions.get(pair)
+        if extension is not None:
             status = FOUND
         elif ext.complete:
             status = NONE
@@ -127,10 +143,12 @@ def is_rmin_saturated(
             status, nodes = res.status, res.stats.nodes
             if status == FOUND:
                 colors = res.certificate.coloring.colors
+                i = bisect_left(g.edges, pair)  # uv's index in G+uv
+                extension = (colors[:i] + colors[i + 1 :], i, colors[i])
             if status == EXHAUSTED and not exhausted:
                 what = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
                 exhausted = str(budget.ran_out(what, start))
-        outcomes.append(NonEdgeOutcome(pair, status, nodes, colors))
+        outcomes.append(NonEdgeOutcome(pair, status, nodes, extension))
     failed = sum(o.status == FOUND for o in outcomes)
     if failed:
         status = NOT_SATURATED

@@ -6,10 +6,18 @@ State is a partial edge assignment plus two incremental structures:
   red edges are a conflict;
 * a union-find over blue edges with size tracking and rollback — a blue
   assignment that would grow a component to k vertices is a conflict, and
-  after every union each unassigned edge between the new component and a
-  component with k or more vertices together with it is forced red. Roots
-  are kept flat: every vertex points at its root, so a find is one read,
-  and a union or its undo relabels the smaller component's vertices.
+  each unassigned edge between a component and another with k or more
+  vertices together with it is forced red. Roots are kept flat: every
+  vertex points at its root, so a find is one read, and a union or its
+  undo relabels the smaller component's vertices.
+
+Propagation queues forced colors and applies them first. A component that
+grew is scanned for its forced-red edges only once no forced color is
+queued, at the size it has then, so a component that grows twice in one
+cascade is scanned once, and a cascade that ends in a conflict skips the
+scans it had left. Both rules are monotone, so whether a cascade ends at
+a fixpoint or in a conflict, and so the search tree, does not depend on
+this order.
 
 Branching is deterministic: unassigned edge lying in the most triangles
 first, red tried before blue, so certificates are byte-reproducible.
@@ -46,6 +54,9 @@ EXHAUSTED = "budget-exhausted"
 OK = "ok"
 
 _BUDGET_CHECK_MASK = 0x3FF  # wall-clock checked every 1024 nodes
+
+# a bad coloring of G+uv as (coloring of G, uv's index in G+uv, uv's color)
+Extension = tuple[tuple[int, ...], int, int]
 
 # bad colorings an extension enumeration visits before it stops; the
 # non-edges it leaves open fall back to a search of their own
@@ -85,9 +96,11 @@ class SearchStats:
     is charged to its ``SearchBudget``. ``backtracks``: branch colors
     refuted at once by propagation, whatever the search mode, a blue branch
     that would merge two blue components into k or more vertices included.
-    ``propagations``: edge colors forced, presolve included: blue by a
-    triangle with two red edges, and component-forced red on an edge
-    between two blue components with k or more vertices together.
+    ``propagations``: forced edge colors queued, presolve included: blue
+    by a triangle with two red edges, and component-forced red on an edge
+    between two blue components with k or more vertices together. A
+    cascade that ends in a conflict stops queuing, so the order of
+    propagation work moves this count, never the tree.
     ``wall_time``: seconds from start to verdict, presolve included.
     """
 
@@ -121,7 +134,9 @@ class ExtendResult:
 
     ``certificate`` is the first coloring, the one find returns.
     ``extensions`` maps each non-edge uv some coloring extends across to
-    that bad coloring of G+uv, colors in G+uv's edge order.
+    ``(colors, i, c)``: that bad coloring of G, one tuple shared by every
+    non-edge it closes, and uv's index in G+uv's edge order and its color.
+    The coloring of G+uv is ``colors[:i] + (c,) + colors[i:]``.
     ``complete`` means every bad coloring of G was tried, so G+uv has no
     bad coloring for a non-edge ``uv`` missing from ``extensions``; it is
     False when the budget ran out or the enumeration stopped at
@@ -130,7 +145,7 @@ class ExtendResult:
 
     status: str  # found | none | budget-exhausted
     certificate: BadColoringCertificate | None
-    extensions: dict[tuple[int, int], tuple[int, ...]]
+    extensions: dict[tuple[int, int], Extension]
     complete: bool
     stats: SearchStats
 
@@ -168,22 +183,31 @@ class _Engine:
         self.color_trail: list[int] = []
         self.union_trail: list[tuple[int, int]] = []
         self.red_count = 0
-        # static branch order: densest-in-triangles first, index breaks ties
-        self.order = sorted(range(self.m), key=lambda e: (-len(self.tris_of[e]), e))
+        # static branch order: densest-in-triangles first; the sort is
+        # stable, so index breaks ties
+        self.order = sorted(range(self.m), key=lambda e: -len(self.tris_of[e]))
         self.stats = SearchStats()
         self.best: BadColoringCertificate | None = None
         self.best_red = -1
         self.count = 0
         self.cap = 0
         self.open: list[tuple[int, int]] = []
-        self.extensions: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.extensions: dict[tuple[int, int], Extension] = {}
         self.capped = False
 
     # -- incremental state -------------------------------------------------
 
     def _assign(self, e0: int, c0: int) -> bool:
-        """Assign and propagate; False on conflict (caller must roll back)."""
+        """Assign and propagate to a fixpoint; False on conflict (caller
+        must roll back).
+
+        A blue union only notes its new root in ``grown``. Once no forced
+        color is queued, one grown component is scanned for the edges it
+        forces red (see the module docstring), skipping a root noted again
+        or merged into another since: that root is noted too.
+        """
         stack = [(e0, c0)]
+        grown: list[int] = []
         color = self.color
         tri_red = self.tri_red
         tri_edges = self.tri_edges
@@ -191,66 +215,72 @@ class _Engine:
         size = self.size
         members = self.members
         k = self.k
-        while stack:
-            e, c = stack.pop()
-            cur = color[e]
-            if cur != UNASSIGNED:
-                if cur != c:
-                    return False
-                continue
-            color[e] = c
-            self.color_trail.append(e)
-            if c == RED:
-                self.red_count += 1
-                conflict = False
-                # increment every counter before bailing out: undo always
-                # decrements all triangles of a popped red edge
-                for t in self.tris_of[e]:
-                    r = tri_red[t] + 1
-                    tri_red[t] = r
-                    if r == 3:
-                        conflict = True
-                    elif r == 2 and not conflict:
-                        a, b, cc = tri_edges[t]
-                        if color[a] != RED:
-                            third = a
-                        elif color[b] != RED:
-                            third = b
-                        else:
-                            third = cc
-                        if color[third] == UNASSIGNED:
-                            stack.append((third, BLUE))
-                            self.stats.propagations += 1
-                if conflict:
-                    return False
-            else:
-                ru = parent[self.eu[e]]
-                rv = parent[self.ev[e]]
-                if ru != rv:
-                    su = size[ru]
-                    sv = size[rv]
-                    s = su + sv
-                    if s >= k:
+        while True:
+            while stack:
+                e, c = stack.pop()
+                cur = color[e]
+                if cur != UNASSIGNED:
+                    if cur != c:
                         return False
-                    if su < sv:
-                        ru, rv = rv, ru
-                    moved = members[rv]
-                    for x in moved:
-                        parent[x] = ru
-                    size[ru] = s
-                    joined = members[ru]
-                    joined.extend(moved)
-                    self.union_trail.append((rv, ru))
-                    # edges to a component with >= k - s vertices must be red
-                    need = k - s
-                    for x in joined:
-                        for f, y in self.inc[x]:
-                            if color[f] == UNASSIGNED:
-                                ry = parent[y]
-                                if ry != ru and size[ry] >= need:
-                                    stack.append((f, RED))
-                                    self.stats.propagations += 1
-        return True
+                    continue
+                color[e] = c
+                self.color_trail.append(e)
+                if c == RED:
+                    self.red_count += 1
+                    conflict = False
+                    # increment every counter before bailing out: undo always
+                    # decrements all triangles of a popped red edge
+                    for t in self.tris_of[e]:
+                        r = tri_red[t] + 1
+                        tri_red[t] = r
+                        if r == 3:
+                            conflict = True
+                        elif r == 2 and not conflict:
+                            a, b, cc = tri_edges[t]
+                            if color[a] != RED:
+                                third = a
+                            elif color[b] != RED:
+                                third = b
+                            else:
+                                third = cc
+                            if color[third] == UNASSIGNED:
+                                stack.append((third, BLUE))
+                                self.stats.propagations += 1
+                    if conflict:
+                        return False
+                else:
+                    ru = parent[self.eu[e]]
+                    rv = parent[self.ev[e]]
+                    if ru != rv:
+                        su = size[ru]
+                        sv = size[rv]
+                        s = su + sv
+                        if s >= k:
+                            return False
+                        if su < sv:
+                            ru, rv = rv, ru
+                        moved = members[rv]
+                        for x in moved:
+                            parent[x] = ru
+                        size[ru] = s
+                        members[ru].extend(moved)
+                        self.union_trail.append((rv, ru))
+                        grown.append(ru)
+            while grown:
+                ru = grown.pop()
+                if parent[ru] == ru and ru not in grown:
+                    break
+            else:
+                return True
+            # edges to a component with >= k - size vertices must be red
+            need = k - size[ru]
+            for x in members[ru]:
+                for f, y in self.inc[x]:
+                    if color[f] == UNASSIGNED:
+                        ry = parent[y]
+                        if ry != ru and size[ry] >= need:
+                            stack.append((f, RED))
+                            self.stats.propagations += 1
 
     def _mark(self) -> tuple[int, int]:
         return (len(self.color_trail), len(self.union_trail))
@@ -343,7 +373,7 @@ class _Engine:
             if snapshot is None:
                 snapshot = tuple(color)
             i = bisect_left(self.g.edges, (u, v))  # uv's index in G+uv
-            self.extensions[(u, v)] = snapshot[:i] + (c,) + snapshot[i:]
+            self.extensions[(u, v)] = (snapshot, i, c)
         self.open = still
         self.capped = bool(still) and self.count >= EXTEND_CAP
         return not still or self.capped
@@ -387,7 +417,9 @@ class _Engine:
         """Depth-first search over the static branch order.
 
         Each frame holds a branching edge, how many of its colors (red,
-        then blue) were tried and the trail mark to undo to. Under max-red,
+        then blue) were tried and the trail mark to undo to. A frame with
+        both colors tried is popped as it stands: the first ancestor with a
+        color left undoes to its own, earlier mark. Under max-red,
         a node that cannot beat the best red count so far is pruned (see
         ``_cannot_beat_best``). A count node with one edge left counts its
         two leaves without assigning them: at a propagation fixpoint with
@@ -436,11 +468,11 @@ class _Engine:
             while stack:
                 frame = stack[-1]
                 i, e, tried, mark = frame
-                if tried:
-                    self._undo_to(mark)
                 if tried == 2:
                     stack.pop()
                     continue
+                if tried:
+                    self._undo_to(mark)
                 frame[2] = tried + 1
                 if self._assign(e, BLUE if tried else RED):
                     start = i + 1

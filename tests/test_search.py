@@ -33,6 +33,7 @@ from ramsat.search import (
     SearchBudget,
     _Engine,
     count_bad_colorings,
+    extend_bad_colorings,
     find_bad_coloring,
     find_max_red_bad_coloring,
 )
@@ -121,16 +122,59 @@ def test_count_stats_are_pinned_on_sparse_draws():
         stats = res.stats
         got.append((res.count, stats.nodes, stats.backtracks, stats.propagations))
     assert got == [
-        (10001, 10021, 7, 7300),
-        (10001, 10030, 21, 6072),
-        (190, 237, 48, 1148),
-        (4463, 4514, 52, 2640),
-        (94, 149, 56, 1451),
-        (7222, 7264, 43, 3109),
-        (10001, 10028, 10, 5177),
-        (9920, 10032, 113, 5851),
-        (10001, 10074, 66, 6125),
-        (10001, 10077, 67, 6291),
+        (10001, 10021, 7, 7297),
+        (10001, 10030, 21, 6005),
+        (190, 237, 48, 802),
+        (4463, 4514, 52, 2468),
+        (94, 149, 56, 1090),
+        (7222, 7264, 43, 2864),
+        (10001, 10028, 10, 5175),
+        (9920, 10032, 113, 5698),
+        (10001, 10074, 66, 5983),
+        (10001, 10077, 67, 6180),
+    ]
+
+
+def _arrow_draws():
+    """Seeded G(n, 4n) draws, n = 18..22: dense, with no bad coloring at
+    k = 5, so each find walks its whole refutation tree."""
+    rng = random.Random(27)
+    draws = []
+    for i in range(20):
+        n = 18 + i % 5
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        draws.append(Graph(n, rng.sample(pairs, 4 * n)))
+    return draws
+
+
+def test_refutation_trees_are_pinned_on_dense_draws():
+    """(status, nodes, backtracks) of find at k = 5: propagation may
+    reorder its work, but never change the tree it prunes."""
+    got = []
+    for g in _arrow_draws():
+        res = find_bad_coloring(g, 5)
+        got.append((res.status, res.stats.nodes, res.stats.backtracks))
+    assert got == [
+        (NONE, 14, 15),
+        (NONE, 18, 19),
+        (NONE, 19, 20),
+        (NONE, 5, 6),
+        (NONE, 5, 6),
+        (NONE, 89, 90),
+        (NONE, 14, 15),
+        (NONE, 83, 84),
+        (NONE, 15, 16),
+        (NONE, 29, 30),
+        (NONE, 22, 23),
+        (NONE, 39, 40),
+        (NONE, 0, 0),
+        (NONE, 33, 34),
+        (NONE, 0, 0),
+        (NONE, 0, 0),
+        (NONE, 71, 72),
+        (NONE, 15, 16),
+        (NONE, 49, 50),
+        (NONE, 69, 70),
     ]
 
 
@@ -372,17 +416,30 @@ def test_oversized_blue_merge_forces_red():
 
 
 def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
+    """Every successful ``_assign`` ends at a full fixpoint of both rules:
+    no unassigned edge joins blue components with k or more vertices
+    together, and none is the third edge of a triangle with two red edges.
+    On the dense draws, some cascades grow one component more than once."""
     assign = _Engine._assign
     checked = []
+    regrown = 0
 
     def assign_to_fixpoint(self, e, c):
+        nonlocal regrown
+        unions = len(self.union_trail)
         ok = assign(self, e, c)
         if ok:
+            color = self.color
             for f in range(self.m):
-                if self.color[f] == UNASSIGNED:
+                if color[f] == UNASSIGNED:
                     ru = self.parent[self.eu[f]]
                     rv = self.parent[self.ev[f]]
                     assert ru == rv or self.size[ru] + self.size[rv] < self.k
+            for t in self.tri_edges:
+                assert sorted(color[f] for f in t) != [UNASSIGNED, RED, RED]
+            # the final root of each component this cascade grew
+            roots = [self.parent[big] for _, big in self.union_trail[unions:]]
+            regrown += len(roots) > len(set(roots))
             checked.append(e)
         return ok
 
@@ -395,7 +452,12 @@ def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
         find_bad_coloring(g, k)
         count_bad_colorings(g, k, cap=50)
         find_max_red_bad_coloring(g, k)
+        extend_bad_colorings(g, k)
     assert len(checked) > 1000
+    before = regrown
+    for g in _arrow_draws():
+        assert find_bad_coloring(g, 5).status == NONE
+    assert regrown > before
 
 
 def _assert_roots_are_flat(engine):
