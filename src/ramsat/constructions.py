@@ -20,6 +20,7 @@ from .graphs import Graph, GraphError, petersen as _petersen_graph, star as _sta
 
 __all__ = [
     "KINDS",
+    "MAX_EDGES",
     "ConstructionSpec",
     "BuiltConstruction",
     "TheoremBounds",
@@ -166,9 +167,21 @@ def general_split(k: int, n: int) -> tuple[int, int]:
 
 # -- builders ----------------------------------------------------------------
 
+# the most edges ``build`` accepts. Every kind has at least n - 1 edges, so
+# this also bounds n, and with it the n^2/2-bit string behind graph6 output;
+# README gives the time and memory of the largest accepted construction
+MAX_EDGES = 10_000
+
 
 def build(spec: ConstructionSpec) -> BuiltConstruction:
-    spec.validate()
+    """Build ``spec``, refusing one with more than ``MAX_EDGES`` edges
+    before anything is allocated."""
+    m = predicted_edge_count(spec)
+    if m > MAX_EDGES:
+        raise GraphError(
+            f"{spec.name} would have {m} edges; construct builds at most"
+            f" {MAX_EDGES} (constructions.MAX_EDGES)"
+        )
     return KINDS[spec.kind].builder(spec)
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import search
-from .colorings import BadColoringCertificate, TwoColoring, make_certificate
+from .colorings import BLUE, RED, BadColoringCertificate, TwoColoring, make_certificate
 from .graphs import Graph, GraphError, bits, component_masks, is_2_connected, is_kt_saturated
 from .search import EXHAUSTED, FOUND, NONE, SearchBudget
 
@@ -26,19 +27,25 @@ INCONCLUSIVE = "inconclusive"
 
 # -- saturation for (triangle, k-vertex trees) ---------------------------------
 
+# bad colorings of G the enumeration visits before it stops; the non-edges
+# it leaves open fall back to a search of their own
+EXTEND_CAP = 256
+
+# a bad coloring of G+uv as (coloring of G, uv's index in G+uv, uv's color)
+Extension = tuple[tuple[int, ...], int, int]
+
 
 # slots: one record per non-edge, so its build and reads are on the hot path
 @dataclass(frozen=True, slots=True)
 class NonEdgeOutcome:
     """A non-edge's verdict. When found, ``extension`` is the bad coloring
-    of G+uv as ``search.ExtendResult.extensions`` holds it: a coloring of
-    G, shared with the other non-edges it closes, uv's index in G+uv's edge
-    order and uv's color."""
+    of G+uv as an ``Extension``: a coloring of G, shared with the other
+    non-edges it closes, uv's index in G+uv's edge order and uv's color."""
 
     pair: tuple[int, int]
     status: str  # found | none | budget-exhausted
     nodes: int
-    extension: search.Extension | None = None
+    extension: Extension | None = None
 
     @property
     def colors(self) -> tuple[int, ...] | None:
@@ -62,10 +69,10 @@ class SaturationReport:
     def verdict(self) -> bool:
         return self.status == SATURATED
 
-    @property
+    @cached_property
     def failures(self) -> tuple[tuple[tuple[int, int], BadColoringCertificate], ...]:
         """Each found non-edge uv, in non-edge order, with its coloring of
-        G+uv built and certified afresh on every read."""
+        G+uv built and certified on the first read."""
         g, k = self.graph, self.k
         return tuple(
             (o.pair, make_certificate(g.with_edge(*o.pair), k, TwoColoring(o.colors)))
@@ -99,21 +106,66 @@ class SaturationReport:
         }
 
 
+def _extend_across(
+    g: Graph, k: int, budget: SearchBudget
+) -> tuple[search.FindResult, dict[tuple[int, int], Extension], bool]:
+    """Enumerate g's bad colorings and close each non-edge one of them
+    extends across: uv can be red when u and v have no red common
+    neighbour, and blue when they share a blue component or their two
+    components together have at most k-1 vertices. Stops once no non-edge
+    is open, or after ``EXTEND_CAP`` colorings.
+
+    Returns the enumeration's result, each closed non-edge's extension (a
+    coloring tuple is shared by every non-edge it closes) and whether every
+    bad coloring was tried, so that a non-edge left open has none.
+    """
+    open_pairs = list(g.non_edges())
+    extensions: dict[tuple[int, int], Extension] = {}
+    visits = 0
+
+    def extend(colors, root, size) -> bool:
+        nonlocal open_pairs, visits
+        visits += 1
+        radj = [0] * g.n
+        for (u, v), c in zip(g.edges, colors):
+            if c == RED:
+                radj[u] |= 1 << v
+                radj[v] |= 1 << u
+        still = []
+        snapshot = None
+        for u, v in open_pairs:
+            if not radj[u] & radj[v]:
+                c = RED
+            else:
+                ru = root[u]
+                rv = root[v]
+                if ru != rv and size[ru] + size[rv] >= k:
+                    still.append((u, v))
+                    continue
+                c = BLUE
+            if snapshot is None:
+                snapshot = tuple(colors)
+            extensions[(u, v)] = (snapshot, bisect_left(g.edges, (u, v)), c)
+        open_pairs = still
+        return not still or visits >= EXTEND_CAP
+
+    res = search.enumerate_bad_colorings(g, k, extend, budget)
+    capped = open_pairs and visits >= EXTEND_CAP
+    return res, extensions, res.status != EXHAUSTED and not capped
+
+
 def is_rmin_saturated(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> SaturationReport:
     """Decide saturation; every verdict ships re-checkable evidence.
 
     A bad coloring of g+uv restricted to g is a bad coloring of g, so one
-    enumeration of g's bad colorings decides every non-edge: uv fails as
-    soon as some coloring extends across it, and is blocked when the
-    enumeration ends without one. A non-edge still open when the
-    enumeration stops at ``search.EXTEND_CAP`` colorings gets a search of
-    g+uv of its own. A non-edge's ``nodes`` counts that own search only, so
-    it is 0 for one the enumeration settled. A failing non-edge keeps the
-    bad coloring of g+uv that was found as g's coloring and uv's color, a
-    fallback's too; ``failures`` builds the coloring of g+uv and certifies
-    it.
+    enumeration of g's bad colorings (``_extend_across``) decides every
+    non-edge. A non-edge still open when it stops at ``EXTEND_CAP``
+    colorings gets a search of g+uv of its own; a non-edge's ``nodes``
+    counts that search only, so it is 0 for one the enumeration settled. A
+    failing non-edge keeps its bad coloring of g+uv as an ``Extension``, a
+    fallback's too; ``failures`` builds and certifies it.
 
     A single surviving non-edge settles 'not saturated' even if other
     searches ran out of budget; 'inconclusive' is reported only when no
@@ -124,19 +176,19 @@ def is_rmin_saturated(
     if budget is None:
         budget = SearchBudget()
     start = budget.nodes_left
-    ext = search.extend_bad_colorings(g, k, budget)
+    base, extensions, complete = _extend_across(g, k, budget)
     exhausted = ""
-    if ext.status == EXHAUSTED:
+    if base.status == EXHAUSTED:
         what = "enumeration of G's bad colorings exhausted its budget"
         exhausted = str(budget.ran_out(what, start))
     outcomes = []
-    for pair in g.non_edges() if ext.certificate else ():
-        nodes, extension = 0, ext.extensions.get(pair)
+    for pair in g.non_edges() if base.certificate else ():
+        nodes, extension = 0, extensions.get(pair)
         if extension is not None:
             status = FOUND
-        elif ext.complete:
+        elif complete:
             status = NONE
-        elif ext.status == EXHAUSTED:
+        elif base.status == EXHAUSTED:
             status = EXHAUSTED
         else:
             res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
@@ -156,13 +208,13 @@ def is_rmin_saturated(
     elif exhausted:
         status = INCONCLUSIVE
         reason = exhausted
-    elif ext.certificate is None:
+    elif base.certificate is None:
         status = NOT_SATURATED
         reason = "graph admits no bad coloring"
     else:
         status = SATURATED
         reason = "every non-edge addition destroys all bad colorings"
-    return SaturationReport(g, k, status, ext.certificate, tuple(outcomes), reason)
+    return SaturationReport(g, k, status, base.certificate, tuple(outcomes), reason)
 
 
 def is_ramsey_minimal(

@@ -25,16 +25,15 @@ Presolve assigns the forced-blue edges (>= 2k-3 triangles) up front.
 Max-red prunes a node by branch and bound when every unassigned edge red,
 less one edge per triangle in a greedy packing of triangles that have no
 blue edge and share no unassigned edge, cannot beat the best coloring kept.
-One iterative driver serves find, count, max-red and the extension
-enumeration behind saturation, so search depth is bounded by memory, not
-by the interpreter's recursion limit. Count settles the last unassigned
+One iterative driver serves enumeration (and find, which stops at the
+first coloring), count and max-red, so search depth is bounded by memory,
+not by the interpreter's recursion limit. Count settles the last unassigned
 edge's two leaves without assigning them (k >= 3, see ``_Engine._dfs``).
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .colorings import (
@@ -54,13 +53,6 @@ EXHAUSTED = "budget-exhausted"
 OK = "ok"
 
 _BUDGET_CHECK_MASK = 0x3FF  # wall-clock checked every 1024 nodes
-
-# a bad coloring of G+uv as (coloring of G, uv's index in G+uv, uv's color)
-Extension = tuple[tuple[int, ...], int, int]
-
-# bad colorings an extension enumeration visits before it stops; the
-# non-edges it leaves open fall back to a search of their own
-EXTEND_CAP = 256
 
 
 class InconclusiveError(RuntimeError):
@@ -128,28 +120,6 @@ class CountResult:
     stats: SearchStats
 
 
-@dataclass
-class ExtendResult:
-    """Bad colorings of G tried as extensions across its non-edges.
-
-    ``certificate`` is the first coloring, the one find returns.
-    ``extensions`` maps each non-edge uv some coloring extends across to
-    ``(colors, i, c)``: that bad coloring of G, one tuple shared by every
-    non-edge it closes, and uv's index in G+uv's edge order and its color.
-    The coloring of G+uv is ``colors[:i] + (c,) + colors[i:]``.
-    ``complete`` means every bad coloring of G was tried, so G+uv has no
-    bad coloring for a non-edge ``uv`` missing from ``extensions``; it is
-    False when the budget ran out or the enumeration stopped at
-    ``EXTEND_CAP`` colorings.
-    """
-
-    status: str  # found | none | budget-exhausted
-    certificate: BadColoringCertificate | None
-    extensions: dict[tuple[int, int], Extension]
-    complete: bool
-    stats: SearchStats
-
-
 class _Budget(Exception):
     pass
 
@@ -191,9 +161,6 @@ class _Engine:
         self.best_red = -1
         self.count = 0
         self.cap = 0
-        self.open: list[tuple[int, int]] = []
-        self.extensions: dict[tuple[int, int], Extension] = {}
-        self.capped = False
 
     # -- incremental state -------------------------------------------------
 
@@ -282,9 +249,6 @@ class _Engine:
                             stack.append((f, RED))
                             self.stats.propagations += 1
 
-    def _mark(self) -> tuple[int, int]:
-        return (len(self.color_trail), len(self.union_trail))
-
     def _undo_to(self, mark: tuple[int, int]) -> None:
         ct, ut = mark
         union_trail = self.union_trail
@@ -326,10 +290,6 @@ class _Engine:
 
     # leaf actions: called on each complete bad coloring, True stops the search
 
-    def keep_first(self) -> bool:
-        self.best = self._certificate()
-        return True
-
     def tally(self) -> bool:
         self.count += 1
         return self.count >= self.cap
@@ -339,44 +299,6 @@ class _Engine:
             self.best_red = self.red_count
             self.best = self._certificate()
         return False
-
-    def extend(self) -> bool:
-        """Close every open non-edge this coloring extends across: uv can
-        be red when u and v have no red common neighbour, and blue when
-        they share a blue component or their two components together have
-        at most k-1 vertices."""
-        if self.best is None:
-            self.best = self._certificate()
-        self.count += 1
-        color = self.color
-        radj = [0] * self.g.n
-        for e in range(self.m):
-            if color[e] == RED:
-                u = self.eu[e]
-                v = self.ev[e]
-                radj[u] |= 1 << v
-                radj[v] |= 1 << u
-        parent = self.parent
-        size = self.size
-        still = []
-        snapshot = None
-        for u, v in self.open:
-            if not radj[u] & radj[v]:
-                c = RED
-            else:
-                ru = parent[u]
-                rv = parent[v]
-                if ru != rv and size[ru] + size[rv] >= self.k:
-                    still.append((u, v))
-                    continue
-                c = BLUE
-            if snapshot is None:
-                snapshot = tuple(color)
-            i = bisect_left(self.g.edges, (u, v))  # uv's index in G+uv
-            self.extensions[(u, v)] = (snapshot, i, c)
-        self.open = still
-        self.capped = bool(still) and self.count >= EXTEND_CAP
-        return not still or self.capped
 
     def _cannot_beat_best(self) -> bool:
         """True when no bad coloring below this node has more red edges
@@ -499,13 +421,32 @@ class _Engine:
         return NONE if self.best is None else FOUND
 
 
+def enumerate_bad_colorings(
+    g: Graph, k: int, visitor, budget: SearchBudget | None = None
+) -> FindResult:
+    """Call ``visitor(colors, root, size)`` on each bad coloring, in search
+    order, until it returns True.
+
+    ``colors`` is the live edge-color list, ``root[v]`` is the root of v's
+    blue component and ``size[r]`` is root r's vertex count; all three are
+    valid only during the call. The certificate is the first coloring.
+    """
+    engine = _Engine(g, k, budget)
+
+    def leaf() -> bool:
+        if engine.best is None:
+            engine.best = engine._certificate()
+        return visitor(engine.color, engine.parent, engine.size)
+
+    status = engine.run(leaf)
+    return FindResult(status, engine.best, engine.stats)
+
+
 def find_bad_coloring(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> FindResult:
     """Find any bad coloring, or prove none exists (exhaustive search)."""
-    engine = _Engine(g, k, budget)
-    status = engine.run(engine.keep_first)
-    return FindResult(status, engine.best, engine.stats)
+    return enumerate_bad_colorings(g, k, lambda colors, root, size: True, budget)
 
 
 def count_bad_colorings(
@@ -535,22 +476,3 @@ def find_max_red_bad_coloring(
     status = engine.run(engine.keep_reddest)
     return FindResult(status, engine.best, engine.stats)
 
-
-def extend_bad_colorings(
-    g: Graph, k: int, budget: SearchBudget | None = None
-) -> ExtendResult:
-    """Enumerate bad colorings of g and try each across every non-edge.
-
-    Stops once every non-edge has an extension, or after ``EXTEND_CAP``
-    colorings.
-    """
-    engine = _Engine(g, k, budget)
-    engine.open = list(g.non_edges())
-    status = engine.run(engine.extend)
-    return ExtendResult(
-        status,
-        engine.best,
-        engine.extensions,
-        status != EXHAUSTED and not engine.capped,
-        engine.stats,
-    )

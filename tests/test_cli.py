@@ -108,6 +108,38 @@ def test_construct_rejects_non_integer_multiplicities(capsys):
     assert run(capsys, argv) == (2, "", want)
 
 
+@pytest.mark.parametrize(
+    "args, name, m",
+    [
+        (["geven", "--n", "1000000000"], "geven(1000000000)", 2_500_000_000),
+        (
+            ["c5dup", "--multiplicities", "100000,100000,100000,100000,100000"],
+            "c5dup(100000, 100000, 100000, 100000, 100000)",
+            50_000_000_000,
+        ),
+        (
+            ["general", "--k", "5000", "--n", "20000000"],
+            "general(5000, 20000000)",
+            25_067_475_001,
+        ),
+        (["star", "--n", "10002"], "star(10002)", 10_001),
+    ],
+)
+def test_construct_rejects_more_than_max_edges_at_once(capsys, args, name, m):
+    """Each spec is refused from its predicted edge count, before anything
+    is built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["construct"] + args + ["--format", "graph6"])
+    assert time.perf_counter() - start < 0.5
+    want = f"error: {name} would have {m} edges; construct builds at most 10000"
+    assert (code, out, err) == (2, "", want + " (constructions.MAX_EDGES)\n")
+
+
+def test_construct_accepts_max_edges():
+    # star(10001) has 10,000 edges, one fewer than the last spec above
+    assert main(["construct", "star", "--n", "10001", "--format", "dot", "-o", os.devnull]) == 0
+
+
 # one valid flag value per parameter of each construction kind
 KIND_FLAGS = {
     "star": {"n": "6"},
@@ -216,7 +248,7 @@ def test_check_saturated_output_is_pinned(capsys, monkeypatch, tmp_path, case, f
     make, k, cap, extra, want = SATURATED_CASES[case]
     p = tmp_path / "g.g6"
     p.write_text(make().to_graph6() + "\n")
-    monkeypatch.setattr("ramsat.search.EXTEND_CAP", cap)
+    monkeypatch.setattr("ramsat.saturation.EXTEND_CAP", cap)
     argv = ["check", "saturated", str(p), "--k", str(k), "--format", fmt] + extra
     code, out, err = run(capsys, argv)
     assert (code, sha256(out), err) == (*want[fmt], "")
@@ -318,7 +350,7 @@ def test_check_budget_exhaustion_exit(capsys, monkeypatch, tmp_path, geven18_fil
 
     # per-non-edge fallback: each of the 109 searches needs at most 5 nodes,
     # 355 together
-    monkeypatch.setattr("ramsat.search.EXTEND_CAP", 1)
+    monkeypatch.setattr("ramsat.saturation.EXTEND_CAP", 1)
     code, out, _ = run(
         capsys, ["check", "saturated", geven18_file, "--k", "4", "--max-nodes", "10"]
     )

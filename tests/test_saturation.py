@@ -7,7 +7,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from ramsat import saturation, search
+from ramsat import saturation
 from ramsat.cli import main
 from ramsat.colorings import RED, BadColoringCertificate, TwoColoring, make_certificate
 from ramsat.constructions import ConstructionSpec, build
@@ -42,7 +42,6 @@ from ramsat.search import (
     InconclusiveError,
     SearchBudget,
     count_bad_colorings,
-    extend_bad_colorings,
     find_bad_coloring,
     find_max_red_bad_coloring,
 )
@@ -147,7 +146,7 @@ def test_is_rmin_saturated_budget_inconclusive(monkeypatch):
         "enumeration of G's bad colorings exhausted its budget after 0 nodes"
     )
     # per-non-edge fallback: no single search needs 20 nodes, all together do
-    monkeypatch.setattr(search, "EXTEND_CAP", 1)
+    monkeypatch.setattr(saturation, "EXTEND_CAP", 1)
     assert max(o.nodes for o in is_rmin_saturated(g, 5).non_edge_outcomes) < 20
     rep = is_rmin_saturated(g, 5, SearchBudget(max_nodes=20))
     assert rep.status == INCONCLUSIVE
@@ -193,7 +192,7 @@ def test_is_rmin_saturated_matches_per_non_edge_search(monkeypatch, cap):
     """The extension enumeration and, with the cap at 1, the per-non-edge
     fallback both give what one search per non-edge gives."""
     if cap is not None:
-        monkeypatch.setattr(search, "EXTEND_CAP", cap)
+        monkeypatch.setattr(saturation, "EXTEND_CAP", cap)
     for n in range(7):
         for g in enumerate_graphs(n):
             for k in (3, 4, 5):
@@ -204,9 +203,9 @@ def test_is_rmin_saturated_falls_back_past_the_cap():
     # a Ramsey-minimal 5-vertex graph for k = 3 minus its edge (0, 2), beside
     # a path: 288 bad colorings, and no coloring extends across (0, 2)
     g = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
-    assert count_bad_colorings(g, 3).count > search.EXTEND_CAP
-    ext = extend_bad_colorings(g, 3)
-    assert not ext.complete and (0, 2) not in ext.extensions
+    assert count_bad_colorings(g, 3).count > saturation.EXTEND_CAP
+    _, extensions, complete = saturation._extend_across(g, 3, SearchBudget())
+    assert not complete and (0, 2) not in extensions
     rep = assert_matches_per_non_edge(g, 3)
     (blocked,) = [o for o in rep.non_edge_outcomes if o.status != FOUND]
     assert blocked.pair == (0, 2) and blocked.nodes > 0
@@ -219,7 +218,7 @@ def test_failures_are_the_found_outcomes(monkeypatch, cap):
     enumeration or, with the cap at 1, the non-edge's own search found it;
     ``failures`` certifies exactly those, in non-edge order."""
     if cap is not None:
-        monkeypatch.setattr(search, "EXTEND_CAP", cap)
+        monkeypatch.setattr(saturation, "EXTEND_CAP", cap)
     fallback = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
     geven18 = build(ConstructionSpec.geven(18)).graph
     for g, k, failed in ((star(10), 4, 36), (fallback, 3, 102), (geven18, 4, 0)):
@@ -262,8 +261,9 @@ def test_enumeration_out_of_budget_after_its_first_coloring():
 
 
 def test_failures_are_certified_only_when_read(monkeypatch, capsys, tmp_path):
-    """Deciding and text output certify nothing; each read of ``failures``,
-    and so JSON output, certifies every failing non-edge once."""
+    """Deciding and text output certify nothing; the first read of
+    ``failures``, and so JSON output, certifies every failing non-edge once,
+    and later reads reuse those certificates."""
     made = []
 
     def counting(h, k, coloring):
@@ -282,7 +282,7 @@ def test_failures_are_certified_only_when_read(monkeypatch, capsys, tmp_path):
     assert len(made) == len(failures) == 36
     for pair, cert in failures:
         assert cert.verify(g.with_edge(*pair), 4)
-    assert len(rep.failures) == 36 and len(made) == 72
+    assert rep.failures is failures and len(made) == 36
     made.clear()
     assert main(["check", "saturated", str(p), "--k", "4", "--format", "json"]) == 1
     assert len(json.loads(capsys.readouterr().out)["failures"]) == len(made) == 36

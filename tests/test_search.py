@@ -1,5 +1,6 @@
 """Search engine: exhaustiveness, certificates, budgets, oracle agreement."""
 
+import itertools
 import random
 import time
 from types import SimpleNamespace
@@ -16,6 +17,8 @@ from ramsat.colorings import (
 from ramsat.graphs import (
     Graph,
     GraphError,
+    bits,
+    component_masks,
     complete,
     complete_bipartite,
     cycle,
@@ -33,7 +36,7 @@ from ramsat.search import (
     SearchBudget,
     _Engine,
     count_bad_colorings,
-    extend_bad_colorings,
+    enumerate_bad_colorings,
     find_bad_coloring,
     find_max_red_bad_coloring,
 )
@@ -106,6 +109,61 @@ def test_count_matches_the_oracle_on_every_class(n):
             for cap in (1, 2, 3, 1 << 62):
                 res = count_bad_colorings(g, k, cap=cap)
                 assert res.status == OK and res.count == min(want, cap)
+
+
+def _assert_view_is_the_blue_components(g, colors, root, size):
+    """``root`` and ``size`` agree with the components of the blue edges:
+    every member of one shares one root, inside it, whose size is the
+    component's vertex count."""
+    blue = [0] * g.n
+    for (u, v), c in zip(g.edges, colors):
+        if c == BLUE:
+            blue[u] |= 1 << v
+            blue[v] |= 1 << u
+    for comp in component_masks(blue, (1 << g.n) - 1):
+        members = list(bits(comp))
+        r = root[members[0]]
+        assert comp >> r & 1 and size[r] == len(members)
+        assert all(root[v] == r for v in members)
+
+
+def _red_mask(colors):
+    return sum(1 << e for e, c in enumerate(colors) if c == RED)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumeration_visits_every_bad_coloring_once(n):
+    """A visitor that never stops sees the oracle's bad colorings, each
+    once, with the blue components as ``root`` and ``size``; one that stops
+    on its j-th call is called exactly j times, on the first j of them."""
+    for g in enumerate_graphs(n):
+        for k in (3, 4, 5):
+            seen = []
+
+            def visit(colors, root, size):
+                assert UNASSIGNED not in colors
+                _assert_view_is_the_blue_components(g, colors, root, size)
+                seen.append(tuple(colors))
+                return False
+
+            res = enumerate_bad_colorings(g, k, visit)
+            masks = [_red_mask(colors) for colors in seen]
+            assert len(set(masks)) == len(masks)
+            assert sorted(masks) == brute_force_bad_colorings(g, k).tolist()
+            if not seen:
+                assert res.status == NONE and res.certificate is None
+                continue
+            assert res.status == FOUND
+            assert res.certificate.coloring.colors == seen[0]
+            for j in sorted({1, 2, (len(seen) + 1) // 2, len(seen)}):
+                calls = []
+
+                def stop_at_j(colors, root, size):
+                    calls.append(tuple(colors))
+                    return len(calls) == j
+
+                res = enumerate_bad_colorings(g, k, stop_at_j)
+                assert res.status == FOUND and calls == seen[:j]
 
 
 def _sparse_draws():
@@ -452,7 +510,9 @@ def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
         find_bad_coloring(g, k)
         count_bad_colorings(g, k, cap=50)
         find_max_red_bad_coloring(g, k)
-        extend_bad_colorings(g, k)
+        # as many colorings as saturation's extension enumeration visits
+        visits = itertools.count(1)
+        enumerate_bad_colorings(g, k, lambda *view: next(visits) >= 256)
     assert len(checked) > 1000
     before = regrown
     for g in _arrow_draws():
@@ -467,13 +527,17 @@ def _assert_roots_are_flat(engine):
         assert v in engine.members[parent[v]]
 
 
+def _trail_mark(engine):
+    return (len(engine.color_trail), len(engine.union_trail))
+
+
 def test_undo_to_root_restores_the_union_find():
     rng = random.Random(31)
     for _ in range(20):
         n = rng.randint(4, 12)
         g = random_graph(rng, n, 3 * n)
         engine = _Engine(g, rng.randint(3, 6), None)
-        root = engine._mark()
+        root = _trail_mark(engine)
         initial = (
             list(engine.parent),
             list(engine.size),
@@ -481,7 +545,7 @@ def test_undo_to_root_restores_the_union_find():
         )
         marks = [root]
         for e in rng.sample(range(g.m), g.m):
-            mark = engine._mark()
+            mark = _trail_mark(engine)
             ok = engine._assign(e, rng.choice((RED, BLUE)))
             _assert_roots_are_flat(engine)
             if ok:
