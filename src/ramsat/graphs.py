@@ -9,6 +9,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import base64
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -251,16 +252,22 @@ class Graph:
 
     def to_graph6(self) -> str:
         """Headerless graph6 line (no trailing newline)."""
-        # column v lists u = 0..v-1, first bit first: the reversed binary
-        # digits of adj[v] below bit v
-        bitstr = "".join(
-            format(self.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
-            for v in range(1, self.n)
-        )
-        bitstr += "0" * (-len(bitstr) % 6)
-        return _graph6_encode_n(self.n) + "".join(
-            chr(int(bitstr[i : i + 6], 2) + 63) for i in range(0, len(bitstr), 6)
-        )
+        # column v lists u = 0..v-1, first bit first: bit u of adj[v]. The
+        # columns are packed least significant bit first, each byte written
+        # once full; bit-reversed bytes are base64 in graph6's alphabet
+        packed = bytearray()
+        acc = bits = 0
+        for v in range(1, self.n):
+            acc |= (self.adj[v] & ((1 << v) - 1)) << bits
+            bits += v
+            full = bits >> 3
+            packed += (acc & ((1 << 8 * full) - 1)).to_bytes(full, "little")
+            acc >>= 8 * full
+            bits &= 7
+        packed.append(acc)  # the last bits, or a zero byte
+        digits = (self.n * (self.n - 1) // 2 + 5) // 6
+        text = base64.b64encode(packed.translate(_BIT_REVERSED))
+        return _graph6_encode_n(self.n) + text[:digits].translate(_GRAPH6).decode()
 
     def to_dot(self, coloring=None, labels: dict[int, str] | None = None) -> str:
         """DOT text; blue edges are drawn dashed when a coloring is given."""
@@ -438,6 +445,14 @@ def _packed_forms(rows: np.ndarray, order: np.ndarray) -> list[bytes]:
 
 
 # -- graph6 codec ----------------------------------------------------------
+
+# each byte with its bit order reversed, and base64's digits as graph6's:
+# digit d is character 63 + d
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def _graph6_encode_n(n: int) -> str:

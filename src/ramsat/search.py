@@ -2,8 +2,8 @@
 
 State is a partial edge assignment plus two incremental structures:
 
-* per-triangle red counters — two red edges force the third blue, three
-  red edges are a conflict;
+* per-triangle red counters — two red edges force the third blue, so no
+  triangle ends a successful assignment with three red edges;
 * a union-find over blue edges with size tracking and rollback — a blue
   assignment that would grow a component to k vertices is a conflict, and
   each unassigned edge between a component and another with k or more
@@ -132,8 +132,6 @@ class _Engine:
         self.k = k
         self.budget = SearchBudget() if budget is None else budget
         self.m = g.m
-        self.eu = [e[0] for e in g.edges]
-        self.ev = [e[1] for e in g.edges]
         self.tri_edges = g.triangle_edge_triples()
         self.tris_of: list[list[int]] = [[] for _ in range(self.m)]
         for t, (a, b, c) in enumerate(self.tri_edges):
@@ -152,7 +150,6 @@ class _Engine:
         self.members: list[list[int]] = [[v] for v in range(g.n)]
         self.color_trail: list[int] = []
         self.union_trail: list[tuple[int, int]] = []
-        self.red_count = 0
         # static branch order: densest-in-triangles first; the sort is
         # stable, so index breaks ties
         self.order = sorted(range(self.m), key=lambda e: -len(self.tris_of[e]))
@@ -172,6 +169,11 @@ class _Engine:
         color is queued, one grown component is scanned for the edges it
         forces red (see the module docstring), skipping a root noted again
         or merged into another since: that root is noted too.
+
+        Reds are queued only on an empty queue and forced blues go on top,
+        so an edge popped red while unassigned closes no red triangle, and
+        none is looked for. A rule that queued reds mid-cascade would stay
+        correct: the third edge's queued blue would fail when popped.
         """
         stack = [(e0, c0)]
         grown: list[int] = []
@@ -181,6 +183,7 @@ class _Engine:
         parent = self.parent
         size = self.size
         members = self.members
+        edges = self.g.edges
         k = self.k
         while True:
             while stack:
@@ -193,31 +196,20 @@ class _Engine:
                 color[e] = c
                 self.color_trail.append(e)
                 if c == RED:
-                    self.red_count += 1
-                    conflict = False
-                    # increment every counter before bailing out: undo always
-                    # decrements all triangles of a popped red edge
                     for t in self.tris_of[e]:
                         r = tri_red[t] + 1
                         tri_red[t] = r
-                        if r == 3:
-                            conflict = True
-                        elif r == 2 and not conflict:
-                            a, b, cc = tri_edges[t]
-                            if color[a] != RED:
-                                third = a
-                            elif color[b] != RED:
-                                third = b
-                            else:
-                                third = cc
-                            if color[third] == UNASSIGNED:
-                                stack.append((third, BLUE))
-                                self.stats.propagations += 1
-                    if conflict:
-                        return False
+                        if r == 2:
+                            # the third edge is the only one not red
+                            for third in tri_edges[t]:
+                                if color[third] == UNASSIGNED:
+                                    stack.append((third, BLUE))
+                                    self.stats.propagations += 1
+                                    break
                 else:
-                    ru = parent[self.eu[e]]
-                    rv = parent[self.ev[e]]
+                    u, v = edges[e]
+                    ru = parent[u]
+                    rv = parent[v]
                     if ru != rv:
                         su = size[ru]
                         sv = size[rv]
@@ -268,7 +260,6 @@ class _Engine:
         while len(color_trail) > ct:
             e = color_trail.pop()
             if color[e] == RED:
-                self.red_count -= 1
                 for t in self.tris_of[e]:
                     tri_red[t] -= 1
             color[e] = UNASSIGNED
@@ -282,10 +273,8 @@ class _Engine:
         return True
 
     def _certificate(self) -> BadColoringCertificate:
-        sizes = sorted(
-            (self.size[v] for v in range(self.g.n) if self.parent[v] == v),
-            reverse=True,
-        )
+        # roots are flat: the distinct parents are the roots
+        sizes = sorted((self.size[r] for r in set(self.parent)), reverse=True)
         return BadColoringCertificate(TwoColoring(self.color), tuple(sizes))
 
     # leaf actions: called on each complete bad coloring, True stops the search
@@ -295,8 +284,9 @@ class _Engine:
         return self.count >= self.cap
 
     def keep_reddest(self) -> bool:
-        if self.red_count > self.best_red:
-            self.best_red = self.red_count
+        red = self.color.count(RED)
+        if red > self.best_red:
+            self.best_red = red
             self.best = self._certificate()
         return False
 
@@ -311,7 +301,7 @@ class _Engine:
         triangle has at most one red edge.
         """
         best = self.best_red
-        bound = self.red_count + self.m - len(self.color_trail)
+        bound = self.color.count(RED) + self.m - len(self.color_trail)
         if bound <= best:
             return True
         if best < 0:

@@ -864,3 +864,51 @@ def test_verify_deadline_stops_a_scan_part_way(monkeypatch, criterion, stopped_a
     assert result.inconclusive and not result.passed
     assert result.details == f"time budget ran out during the scan at n={stopped_at}"
     assert scans == 40
+
+
+class _JumpingClock:
+    """A ``time`` stand-in whose every ``perf_counter()`` read is 10^6 s
+    after the previous one, so any deadline has passed by the next read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return 1e6 * self.reads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "geven", "--n", "18", "--format", fmt] for fmt in ("text", "json")]
+    + [
+        ["check", predicate, "GEVEN18", "--k", "4", "--format", fmt]
+        for predicate in ("arrow", "bad-coloring", "count", "saturated", "minimal")
+        for fmt in ("text", "json")
+    ]
+    + [["sat", "--n", "5", "--k", "3", "--format", fmt] for fmt in ("text", "json")]
+    + [["export", "cnf", "GEVEN18", "--k", "4"]]
+    + [["export", what, "GEVEN18"] for what in ("dot", "graph6")]
+    + [["verify-paper", "--quick"]],
+    ids=" ".join,
+)
+def test_every_subcommand_stops_under_a_jumping_clock(
+    capsys, monkeypatch, geven18_file, argv
+):
+    """Each subcommand ends in a verdict (0 or 1) or exit 3 when every
+    clock read is past the deadline, the search-backed ones in exit 3, and
+    none reads the clock more than a few times: no loop waits on a clock
+    that its work does not check. A deadline that passes while output is
+    written (the JSON of a large not-saturated report) is still unchecked."""
+    cli.build_parser()  # its budget defaults read the clock once per process
+    clock = _JumpingClock()
+    monkeypatch.setattr("ramsat.search.time", clock)
+    monkeypatch.setattr("ramsat.verify.time", clock)
+    argv = [geven18_file if a == "GEVEN18" else a for a in argv]
+    code, _, _ = run(capsys, argv)
+    assert code in (0, 1, 3)
+    if argv[0] in ("check", "verify-paper"):  # the search-backed ones
+        assert code == 3
+    # at most 3 reads for a check and 18 for verify-paper --quick, as
+    # measured; the rest read none
+    assert clock.reads <= 20

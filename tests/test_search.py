@@ -324,7 +324,7 @@ def test_packing_bound_keeps_certificates_and_cuts_nodes(monkeypatch):
     monkeypatch.setattr(
         _Engine,
         "_cannot_beat_best",
-        lambda self: self.red_count + self.m - len(self.color_trail)
+        lambda self: self.color.count(RED) + self.m - len(self.color_trail)
         <= self.best_red,
     )
     bare = [find_max_red_bad_coloring(g, 5) for g in draws]
@@ -476,8 +476,9 @@ def test_oversized_blue_merge_forces_red():
 def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
     """Every successful ``_assign`` ends at a full fixpoint of both rules:
     no unassigned edge joins blue components with k or more vertices
-    together, and none is the third edge of a triangle with two red edges.
-    On the dense draws, some cascades grow one component more than once."""
+    together, none is the third edge of a triangle with two red edges, and
+    no triangle has three red edges. On the dense draws, some cascades
+    grow one component more than once."""
     assign = _Engine._assign
     checked = []
     regrown = 0
@@ -490,11 +491,15 @@ def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
             color = self.color
             for f in range(self.m):
                 if color[f] == UNASSIGNED:
-                    ru = self.parent[self.eu[f]]
-                    rv = self.parent[self.ev[f]]
+                    u, v = self.g.edges[f]
+                    ru = self.parent[u]
+                    rv = self.parent[v]
                     assert ru == rv or self.size[ru] + self.size[rv] < self.k
             for t in self.tri_edges:
                 assert sorted(color[f] for f in t) != [UNASSIGNED, RED, RED]
+            # no conflict test looks for a third red edge: the order of
+            # the queue rules it out
+            assert max(self.tri_red, default=0) <= 2
             # the final root of each component this cascade grew
             roots = [self.parent[big] for _, big in self.union_trail[unions:]]
             regrown += len(roots) > len(set(roots))
