@@ -386,10 +386,9 @@ def _at_least_zero(convert):
 
 
 def _add_budget_args(p) -> None:
-    default = SearchBudget()
-    p.add_argument("--max-nodes", type=_at_least_zero(int), default=default.max_nodes)
+    p.add_argument("--max-nodes", type=_at_least_zero(int), default=search.DEFAULT_MAX_NODES)
     p.add_argument(
-        "--max-seconds", type=_at_least_zero(float), default=default.max_seconds
+        "--max-seconds", type=_at_least_zero(float), default=search.DEFAULT_MAX_SECONDS
     )
 
 

@@ -30,6 +30,17 @@ MAX_SUBTREE_K = 7
 _BLOCK = 1 << 14
 
 
+def red_neighbours(g: Graph, colors: Sequence[int]) -> list[int]:
+    """Bitset of each vertex's red neighbours under ``colors``, one color
+    per edge of g in edge order."""
+    radj = [0] * g.n
+    for (u, v), c in zip(g.edges, colors):
+        if c == RED:
+            radj[u] |= 1 << v
+            radj[v] |= 1 << u
+    return radj
+
+
 class TwoColoring:
     """Total assignment of every edge index to red (0) or blue (1)."""
 
@@ -72,12 +83,7 @@ class TwoColoring:
     def red_adjacency(self, g: Graph) -> list[int]:
         """Bitset of each vertex's red neighbours."""
         self._check(g)
-        radj = [0] * g.n
-        for (u, v), c in zip(g.edges, self.colors):
-            if c == RED:
-                radj[u] |= 1 << v
-                radj[v] |= 1 << u
-        return radj
+        return red_neighbours(g, self.colors)
 
     def _check(self, g: Graph) -> None:
         if len(self.colors) != g.m:

@@ -273,17 +273,10 @@ def compute_sat(n: int, k: int) -> SatResult:
             rows.append(row)
         forms = canonical_forms(rows)
         blocked = [t for t, form in zip(tried, forms) if not has_bad[form]]
-    best: int | None = None
-    extremal: list[str] = []
-    for g, sat in zip(classes, saturated):
-        if not sat:
-            continue
-        if best is None or g.m < best:
-            best = g.m
-            extremal = [g.to_graph6()]
-        elif g.m == best:
-            extremal.append(g.to_graph6())
-    return SatResult(n, k, best, tuple(extremal), len(classes))
+    sat_classes = [g for g, sat in zip(classes, saturated) if sat]
+    best = min((g.m for g in sat_classes), default=None)
+    extremal = tuple(g.to_graph6() for g in sat_classes if g.m == best)
+    return SatResult(n, k, best, extremal, len(classes))
 
 
 def family_ramsey_number(k: int) -> int:

@@ -14,9 +14,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from . import search
-from .colorings import BLUE, RED, BadColoringCertificate, TwoColoring, make_certificate
+from .colorings import (
+    BLUE, RED, BadColoringCertificate, TwoColoring, make_certificate, red_neighbours
+)
 from .graphs import Graph, GraphError, bits, component_masks, is_2_connected, is_kt_saturated
 from .search import EXHAUSTED, FOUND, NONE, SearchBudget
 
@@ -35,9 +38,8 @@ EXTEND_CAP = 256
 Extension = tuple[tuple[int, ...], int, int]
 
 
-# slots: one record per non-edge, so its build and reads are on the hot path
-@dataclass(frozen=True, slots=True)
-class NonEdgeOutcome:
+# a tuple: one record per non-edge, so its build and reads are on the hot path
+class NonEdgeOutcome(NamedTuple):
     """A non-edge's verdict. When found, ``extension`` is the bad coloring
     of G+uv as an ``Extension``: a coloring of G, shared with the other
     non-edges it closes, uv's index in G+uv's edge order and uv's color."""
@@ -106,31 +108,42 @@ class SaturationReport:
         }
 
 
-def _extend_across(
-    g: Graph, k: int, budget: SearchBudget
-) -> tuple[search.FindResult, dict[tuple[int, int], Extension], bool]:
-    """Enumerate g's bad colorings and close each non-edge one of them
-    extends across: uv can be red when u and v have no red common
-    neighbour, and blue when they share a blue component or their two
-    components together have at most k-1 vertices. Stops once no non-edge
-    is open, or after ``EXTEND_CAP`` colorings.
+def is_rmin_saturated(
+    g: Graph, k: int, budget: SearchBudget | None = None
+) -> SaturationReport:
+    """Decide saturation; every verdict ships re-checkable evidence.
 
-    Returns the enumeration's result, each closed non-edge's extension (a
-    coloring tuple is shared by every non-edge it closes) and whether every
-    bad coloring was tried, so that a non-edge left open has none.
+    A bad coloring of g+uv restricted to g is a bad coloring of g, so one
+    enumeration of g's bad colorings decides every non-edge: a coloring
+    extends across uv when u and v have no red common neighbour (uv can be
+    red), or when they share a blue component or their two components
+    together have at most k-1 vertices (uv can be blue). The enumeration
+    stops once no non-edge is open, or after ``EXTEND_CAP`` colorings; a
+    non-edge still open then gets a search of g+uv of its own. A
+    non-edge's ``nodes`` counts that search only, so it is 0 for one the
+    enumeration settled. A failing non-edge keeps its bad coloring of g+uv
+    as an ``Extension``, a fallback's too; ``failures`` builds and
+    certifies it.
+
+    A single surviving non-edge settles 'not saturated' even if other
+    searches ran out of budget; 'inconclusive' is reported only when no
+    counterexample was found and some search was cut short; its reason
+    names that search and how many nodes the whole check drew. All
+    searches draw on ``budget``, a fresh default one when None.
     """
-    open_pairs = list(g.non_edges())
+    if budget is None:
+        budget = SearchBudget()
+    start = budget.nodes_left
+    pairs = open_pairs = list(g.non_edges())
+    # each closed non-edge's extension; a coloring tuple is shared by
+    # every non-edge it closes
     extensions: dict[tuple[int, int], Extension] = {}
     visits = 0
 
     def extend(colors, root, size) -> bool:
         nonlocal open_pairs, visits
         visits += 1
-        radj = [0] * g.n
-        for (u, v), c in zip(g.edges, colors):
-            if c == RED:
-                radj[u] |= 1 << v
-                radj[v] |= 1 << u
+        radj = red_neighbours(g, colors)
         still = []
         snapshot = None
         for u, v in open_pairs:
@@ -149,47 +162,20 @@ def _extend_across(
         open_pairs = still
         return not still or visits >= EXTEND_CAP
 
-    res = search.enumerate_bad_colorings(g, k, extend, budget)
-    capped = open_pairs and visits >= EXTEND_CAP
-    return res, extensions, res.status != EXHAUSTED and not capped
-
-
-def is_rmin_saturated(
-    g: Graph, k: int, budget: SearchBudget | None = None
-) -> SaturationReport:
-    """Decide saturation; every verdict ships re-checkable evidence.
-
-    A bad coloring of g+uv restricted to g is a bad coloring of g, so one
-    enumeration of g's bad colorings (``_extend_across``) decides every
-    non-edge. A non-edge still open when it stops at ``EXTEND_CAP``
-    colorings gets a search of g+uv of its own; a non-edge's ``nodes``
-    counts that search only, so it is 0 for one the enumeration settled. A
-    failing non-edge keeps its bad coloring of g+uv as an ``Extension``, a
-    fallback's too; ``failures`` builds and certifies it.
-
-    A single surviving non-edge settles 'not saturated' even if other
-    searches ran out of budget; 'inconclusive' is reported only when no
-    counterexample was found and some search was cut short; its reason
-    names that search and how many nodes the whole check drew. All
-    searches draw on ``budget``, a fresh default one when None.
-    """
-    if budget is None:
-        budget = SearchBudget()
-    start = budget.nodes_left
-    base, extensions, complete = _extend_across(g, k, budget)
+    base = search.enumerate_bad_colorings(g, k, extend, budget)
     exhausted = ""
     if base.status == EXHAUSTED:
         what = "enumeration of G's bad colorings exhausted its budget"
         exhausted = str(budget.ran_out(what, start))
     outcomes = []
-    for pair in g.non_edges() if base.certificate else ():
+    for pair in pairs if base.certificate else ():
         nodes, extension = 0, extensions.get(pair)
         if extension is not None:
             status = FOUND
-        elif complete:
-            status = NONE
         elif base.status == EXHAUSTED:
             status = EXHAUSTED
+        elif visits < EXTEND_CAP:  # every bad coloring was tried
+            status = NONE
         else:
             res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
             status, nodes = res.status, res.stats.nodes

@@ -54,6 +54,10 @@ OK = "ok"
 
 _BUDGET_CHECK_MASK = 0x3FF  # wall-clock checked every 1024 nodes
 
+# a SearchBudget's defaults, and so the CLI's --max-nodes and --max-seconds
+DEFAULT_MAX_NODES = 50_000_000
+DEFAULT_MAX_SECONDS = 900.0
+
 
 class InconclusiveError(RuntimeError):
     """A verdict could not be computed within the search budget."""
@@ -68,7 +72,9 @@ class SearchBudget:
     conflated with 'no solution exists'.
     """
 
-    def __init__(self, max_nodes: int = 50_000_000, max_seconds: float = 900.0):
+    def __init__(
+        self, max_nodes: int = DEFAULT_MAX_NODES, max_seconds: float = DEFAULT_MAX_SECONDS
+    ):
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes_left = max_nodes

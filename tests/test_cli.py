@@ -878,6 +878,16 @@ class _JumpingClock:
         return 1e6 * self.reads
 
 
+def test_a_cold_parser_build_reads_no_clock(monkeypatch):
+    """The budget defaults the parser shows are constants: building it
+    makes no ``SearchBudget`` and so starts no clock."""
+    clock = _JumpingClock()
+    monkeypatch.setattr("ramsat.search.time", clock)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    assert clock.reads == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [["construct", "geven", "--n", "18", "--format", fmt] for fmt in ("text", "json")]
@@ -900,7 +910,6 @@ def test_every_subcommand_stops_under_a_jumping_clock(
     none reads the clock more than a few times: no loop waits on a clock
     that its work does not check. A deadline that passes while output is
     written (the JSON of a large not-saturated report) is still unchecked."""
-    cli.build_parser()  # its budget defaults read the clock once per process
     clock = _JumpingClock()
     monkeypatch.setattr("ramsat.search.time", clock)
     monkeypatch.setattr("ramsat.verify.time", clock)

@@ -39,6 +39,7 @@ from ramsat.saturation import (
 from ramsat.search import (
     EXHAUSTED,
     FOUND,
+    NONE,
     InconclusiveError,
     SearchBudget,
     count_bad_colorings,
@@ -201,15 +202,42 @@ def test_is_rmin_saturated_matches_per_non_edge_search(monkeypatch, cap):
 
 def test_is_rmin_saturated_falls_back_past_the_cap():
     # a Ramsey-minimal 5-vertex graph for k = 3 minus its edge (0, 2), beside
-    # a path: 288 bad colorings, and no coloring extends across (0, 2)
+    # a path: 288 bad colorings, and no coloring extends across (0, 2), so
+    # the enumeration stops at the cap with (0, 2) open
     g = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
     assert count_bad_colorings(g, 3).count > saturation.EXTEND_CAP
-    _, extensions, complete = saturation._extend_across(g, 3, SearchBudget())
-    assert not complete and (0, 2) not in extensions
     rep = assert_matches_per_non_edge(g, 3)
     (blocked,) = [o for o in rep.non_edge_outcomes if o.status != FOUND]
-    assert blocked.pair == (0, 2) and blocked.nodes > 0
+    # (0, 2) is settled by a search of its own; the enumeration settled
+    # every other non-edge, so none of them drew a node
+    assert blocked.pair == (0, 2) and blocked.status == NONE
+    assert blocked.nodes > 0 and blocked.extension is None
     assert all(o.nodes == 0 for o in rep.non_edge_outcomes if o is not blocked)
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_is_rmin_saturated_lists_the_non_edges_once(monkeypatch, cap):
+    """One call walks ``Graph.non_edges`` once, whether the enumeration
+    settles every non-edge or, with the cap at 1, some fall back to a
+    search of their own."""
+    if cap is not None:
+        monkeypatch.setattr(saturation, "EXTEND_CAP", cap)
+    walks = 0
+    non_edges = Graph.non_edges
+
+    def counted(self):
+        nonlocal walks
+        walks += 1
+        return non_edges(self)
+
+    monkeypatch.setattr(Graph, "non_edges", counted)
+    fallback = disjoint_union(from_graph6("D]{").without_edge(0, 2), path(11))
+    geven18 = build(ConstructionSpec.geven(18)).graph
+    for g, k in ((star(10), 4), (fallback, 3), (geven18, 4)):
+        walks = 0
+        rep = is_rmin_saturated(g, k)
+        assert walks == 1
+        assert len(rep.non_edge_outcomes) == g.n * (g.n - 1) // 2 - g.m
 
 
 @pytest.mark.parametrize("cap", [None, 1])
