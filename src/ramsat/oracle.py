@@ -42,7 +42,6 @@ from .graphs import (
     bits,
     canonical_forms,
     complete,
-    is_kt_saturated,
     lower_twins,
 )
 
@@ -294,11 +293,13 @@ def family_ramsey_number(k: int) -> int:
 def scan_k3_saturated(n: int, delta: int) -> tuple[tuple[Graph, int], ...]:
     """All K3-saturated graphs on n vertices with the given minimum degree,
     sorted by edge count (canonical form breaks ties). Such graphs are
-    triangle-free, so only the triangle-free classes are filtered."""
+    triangle-free, so only the triangle-free classes are filtered, and one
+    of those is K3-saturated when every non-edge has a common neighbour."""
     found = [
         (g, g.m)
         for g in enumerate_graphs(n, triangle_free=True)
-        if g.min_degree() == delta and is_kt_saturated(g, 3)
+        if g.min_degree() == delta
+        and all(g.adj[u] & g.adj[v] for u, v in g.non_edges())
     ]
     # stable: enumerate_graphs lists the classes in canonical-form order
     found.sort(key=lambda item: item[1])

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import search
 from .colorings import (
@@ -71,16 +71,20 @@ class SaturationReport:
     def verdict(self) -> bool:
         return self.status == SATURATED
 
+    def _certified(self) -> Iterator[tuple[tuple[int, int], Graph, BadColoringCertificate]]:
+        """Each found non-edge uv, in non-edge order, with G+uv, built once,
+        and its coloring of G+uv certified."""
+        g, k = self.graph, self.k
+        for o in self.non_edge_outcomes:
+            if o.status == FOUND:
+                plus = g.with_edge(*o.pair)
+                yield o.pair, plus, make_certificate(plus, k, TwoColoring(o.colors))
+
     @cached_property
     def failures(self) -> tuple[tuple[tuple[int, int], BadColoringCertificate], ...]:
         """Each found non-edge uv, in non-edge order, with its coloring of
         G+uv built and certified on the first read."""
-        g, k = self.graph, self.k
-        return tuple(
-            (o.pair, make_certificate(g.with_edge(*o.pair), k, TwoColoring(o.colors)))
-            for o in self.non_edge_outcomes
-            if o.status == FOUND
-        )
+        return tuple((pair, cert) for pair, _, cert in self._certified())
 
     def as_dict(self) -> dict:
         g = self.graph
@@ -95,11 +99,8 @@ class SaturationReport:
                 else self.base_certificate.as_dict(g)
             ),
             "failures": [
-                {
-                    "non_edge": list(pair),
-                    "certificate": cert.as_dict(g.with_edge(*pair)),
-                }
-                for pair, cert in self.failures
+                {"non_edge": list(pair), "certificate": cert.as_dict(plus)}
+                for pair, plus, cert in self._certified()
             ],
             "non_edges_checked": [
                 {"non_edge": list(o.pair), "status": o.status, "nodes": o.nodes}

@@ -1,9 +1,12 @@
 """Backtracking search for bad 2-colorings with constraint propagation.
 
-State is a partial edge assignment plus two incremental structures:
+State is a partial edge assignment plus one incremental structure, and
+two rules propagate:
 
-* per-triangle red counters — two red edges force the third blue, so no
-  triangle ends a successful assignment with three red edges;
+* two red edges force the third blue — read from the edge colors: a new
+  red edge checks the other two edges of each of its triangles, so no
+  triangle ends a successful assignment with three red edges, and a
+  backtrack only resets colors;
 * a union-find over blue edges with size tracking and rollback — a blue
   assignment that would grow a component to k vertices is a conflict, and
   each unassigned edge between a component and another with k or more
@@ -139,17 +142,17 @@ class _Engine:
         self.budget = SearchBudget() if budget is None else budget
         self.m = g.m
         self.tri_edges = g.triangle_edge_triples()
-        self.tris_of: list[list[int]] = [[] for _ in range(self.m)]
-        for t, (a, b, c) in enumerate(self.tri_edges):
-            self.tris_of[a].append(t)
-            self.tris_of[b].append(t)
-            self.tris_of[c].append(t)
+        # the other two edges of each of e's triangles, in triangle order
+        self.tri_pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
+        for a, b, c in self.tri_edges:
+            self.tri_pairs[a].append((b, c))
+            self.tri_pairs[b].append((a, c))
+            self.tri_pairs[c].append((a, b))
         # (edge, other end) for each edge at a vertex
         self.inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for i, (u, v) in enumerate(g.edges):
             self.inc[u].append((i, v))
             self.inc[v].append((i, u))
-        self.tri_red = [0] * len(self.tri_edges)
         self.color = [UNASSIGNED] * self.m
         self.parent = list(range(g.n))
         self.size = [1] * g.n
@@ -158,7 +161,7 @@ class _Engine:
         self.union_trail: list[tuple[int, int]] = []
         # static branch order: densest-in-triangles first; the sort is
         # stable, so index breaks ties
-        self.order = sorted(range(self.m), key=lambda e: -len(self.tris_of[e]))
+        self.order = sorted(range(self.m), key=lambda e: -len(self.tri_pairs[e]))
         self.stats = SearchStats()
         self.best: BadColoringCertificate | None = None
         self.best_red = -1
@@ -176,43 +179,36 @@ class _Engine:
         forces red (see the module docstring), skipping a root noted again
         or merged into another since: that root is noted too.
 
-        Reds are queued only on an empty queue and forced blues go on top,
-        so an edge popped red while unassigned closes no red triangle, and
-        none is looked for. A rule that queued reds mid-cascade would stay
-        correct: the third edge's queued blue would fail when popped.
+        Every queued blue is applied before the next queued red, and reds
+        are queued only once both queues are empty, so an edge popped red
+        while unassigned closes no red triangle, and none is looked for. A
+        rule that queued reds mid-cascade would stay correct: the third
+        edge's queued blue would fail when popped. Queued colors are
+        counted in a local and added to ``stats.propagations`` on return.
         """
-        stack = [(e0, c0)]
+        blues = [e0] if c0 == BLUE else []
+        reds = [] if c0 == BLUE else [e0]
         grown: list[int] = []
         color = self.color
-        tri_red = self.tri_red
-        tri_edges = self.tri_edges
+        color_trail = self.color_trail
+        tri_pairs = self.tri_pairs
         parent = self.parent
         size = self.size
         members = self.members
         edges = self.g.edges
         k = self.k
-        while True:
-            while stack:
-                e, c = stack.pop()
-                cur = color[e]
-                if cur != UNASSIGNED:
-                    if cur != c:
-                        return False
-                    continue
-                color[e] = c
-                self.color_trail.append(e)
-                if c == RED:
-                    for t in self.tris_of[e]:
-                        r = tri_red[t] + 1
-                        tri_red[t] = r
-                        if r == 2:
-                            # the third edge is the only one not red
-                            for third in tri_edges[t]:
-                                if color[third] == UNASSIGNED:
-                                    stack.append((third, BLUE))
-                                    self.stats.propagations += 1
-                                    break
-                else:
+        queued = 0
+        try:
+            while True:
+                while blues:
+                    e = blues.pop()
+                    cur = color[e]
+                    if cur != UNASSIGNED:
+                        if cur == RED:
+                            return False
+                        continue
+                    color[e] = BLUE
+                    color_trail.append(e)
                     u, v = edges[e]
                     ru = parent[u]
                     rv = parent[v]
@@ -231,21 +227,39 @@ class _Engine:
                         members[ru].extend(moved)
                         self.union_trail.append((rv, ru))
                         grown.append(ru)
-            while grown:
-                ru = grown.pop()
-                if parent[ru] == ru and ru not in grown:
-                    break
-            else:
-                return True
-            # edges to a component with >= k - size vertices must be red
-            need = k - size[ru]
-            for x in members[ru]:
-                for f, y in self.inc[x]:
-                    if color[f] == UNASSIGNED:
-                        ry = parent[y]
-                        if ry != ru and size[ry] >= need:
-                            stack.append((f, RED))
-                            self.stats.propagations += 1
+                if reds:
+                    e = reds.pop()
+                    cur = color[e]
+                    if cur != UNASSIGNED:
+                        if cur == BLUE:
+                            return False
+                        continue
+                    color[e] = RED
+                    color_trail.append(e)
+                    for a, b in tri_pairs[e]:
+                        ca = color[a]
+                        # RED 0, UNASSIGNED -1: one red, one unassigned
+                        if ca + color[b] == -1:
+                            blues.append(a if ca == UNASSIGNED else b)
+                            queued += 1
+                    continue
+                while grown:
+                    ru = grown.pop()
+                    if parent[ru] == ru and ru not in grown:
+                        break
+                else:
+                    return True
+                # edges to a component with >= k - size vertices must be red
+                need = k - size[ru]
+                for x in members[ru]:
+                    for f, y in self.inc[x]:
+                        if color[f] == UNASSIGNED:
+                            ry = parent[y]
+                            if ry != ru and size[ry] >= need:
+                                reds.append(f)
+                                queued += 1
+        finally:
+            self.stats.propagations += queued
 
     def _undo_to(self, mark: tuple[int, int]) -> None:
         ct, ut = mark
@@ -262,13 +276,9 @@ class _Engine:
             del members[big][-ssz:]
         color_trail = self.color_trail
         color = self.color
-        tri_red = self.tri_red
-        while len(color_trail) > ct:
-            e = color_trail.pop()
-            if color[e] == RED:
-                for t in self.tris_of[e]:
-                    tri_red[t] -= 1
+        for e in color_trail[ct:]:
             color[e] = UNASSIGNED
+        del color_trail[ct:]
 
     # -- search driver -------------------------------------------------------
 

@@ -316,6 +316,25 @@ def test_failures_are_certified_only_when_read(monkeypatch, capsys, tmp_path):
     assert len(json.loads(capsys.readouterr().out)["failures"]) == len(made) == 36
 
 
+def test_json_builds_each_failing_g_plus_uv_once(monkeypatch, capsys, tmp_path):
+    """JSON output certifies each failing non-edge's coloring on the same
+    G+uv it lists the edges of, so it builds 36 graphs for star(10), not 72."""
+    built = []
+    with_edge = Graph.with_edge
+
+    def counting(self, u, v):
+        built.append((u, v))
+        return with_edge(self, u, v)
+
+    p = tmp_path / "star10.g6"
+    p.write_text(star(10).to_graph6() + "\n")
+    monkeypatch.setattr(Graph, "with_edge", counting)
+    assert main(["check", "saturated", str(p), "--k", "4", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert built == [tuple(f["non_edge"]) for f in payload["failures"]]
+    assert len(built) == 36
+
+
 def test_is_rmin_saturated_matches_oracle_definition():
     """Report verdict equals the definition computed with the 2^m scan."""
     for n in range(1, 6):

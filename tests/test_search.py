@@ -1,5 +1,6 @@
 """Search engine: exhaustiveness, certificates, budgets, oracle agreement."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -234,6 +235,39 @@ def test_refutation_trees_are_pinned_on_dense_draws():
         (NONE, 49, 50),
         (NONE, 69, 70),
     ]
+
+
+def test_certificates_are_pinned_on_draws():
+    """SHA-256 over the dense and sparse draws at k = 5 of (status, nodes,
+    backtracks, propagations, certificate colors) of find, count at cap 50
+    (its count in place of a certificate), max-red and an enumeration that
+    stops at its 256th visit (every visited coloring)."""
+    k = 5
+    digest = hashlib.sha256()
+    for g in _arrow_draws() + _sparse_draws():
+        seen = []
+
+        def visit_256(colors, root, size):
+            seen.append(tuple(colors))
+            return len(seen) >= 256
+
+        for res in (
+            find_bad_coloring(g, k),
+            count_bad_colorings(g, k, cap=50),
+            find_max_red_bad_coloring(g, k),
+            enumerate_bad_colorings(g, k, visit_256),
+        ):
+            stats = res.stats
+            if hasattr(res, "count"):
+                shown = res.count
+            else:
+                shown = None if res.certificate is None else res.certificate.coloring.colors
+            line = (res.status, stats.nodes, stats.backtracks, stats.propagations, shown)
+            digest.update(repr(line).encode() + b"\n")
+        digest.update(repr(seen).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "bb10e1002910fa9b0c950b197718087bb2e030a7c4451f5e731d8712d9c62a91"
+    )
 
 
 def test_count_leaves_the_last_edge_unassigned(monkeypatch):
@@ -499,7 +533,8 @@ def test_no_open_edge_joins_oversized_blue_components(monkeypatch):
                 assert sorted(color[f] for f in t) != [UNASSIGNED, RED, RED]
             # no conflict test looks for a third red edge: the order of
             # the queue rules it out
-            assert max(self.tri_red, default=0) <= 2
+            for t in self.tri_edges:
+                assert [color[f] for f in t] != [RED, RED, RED]
             # the final root of each component this cascade grew
             roots = [self.parent[big] for _, big in self.union_trail[unions:]]
             regrown += len(roots) > len(set(roots))
