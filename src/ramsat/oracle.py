@@ -9,9 +9,12 @@ with the same vertex and edge counts (``compute_sat`` hands it each edge
 count's classes; ``brute_force_bad_colorings`` is a batch of one): each
 graph's clauses, listed by ``colorings.triangle_picks`` and
 ``colorings.subtree_picks`` as edge-index arrays tagged by graph, are
-folded into that graph's own row, in gathered chunks reduced per graph
-while the rows are narrow and one clause at a time in place once they are
-wide. Nothing here imports the search engine, so engine results can be
+folded into that graph's own row in gathered chunks reduced per graph.
+The rows grow by prefix doubling: a clause whose highest edge is j can
+only hold where edge j is red (a triangle) or blue (a subtree), so past
+the first few edges each edge j doubles the words scanned so far and folds
+only its own clauses, without j, at the width of the colorings of edges
+0..j-1. Nothing here imports the search engine, so engine results can be
 checked against it. Graph enumeration is orderly generation with
 canonical-form rejection: one mask over all parents of a level, from
 ``graphs.lower_twins``, drops the one-vertex extensions that a twin swap
@@ -123,42 +126,73 @@ _LOW_EDGE_WORDS = tuple(
     np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6)
 )
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-# words of clause rows per gathered chunk of a scan. A gather moves each
-# word about twice, where folding a clause in place through one scratch
-# row costs a few numpy calls instead; on single scans the gather stopped
-# paying below about eight clauses a chunk, so rows of 2^(m-6) words with
-# fewer than _MIN_GATHER of them in a chunk (m >= 18) fold in place
+# words of gathered clause rows per chunk of a fold
 _CHUNK_WORDS = 1 << 14
-_MIN_GATHER = 8
+# the clauses within edges 0.._BASE_EDGES-1 are folded in one pass, and
+# each further edge doubles the rows and folds only the clauses it tops.
+# One pass costs less while rows are narrow: bases 8 to 14 read within
+# noise of each other on m = 20..24 scans, and 12 on up was the closest to
+# one pass on compute_sat's n = 6 batches (m <= 15)
+_BASE_EDGES = 12
 
 
 def _violation_rows(graphs: Sequence[Graph], k: int) -> np.ndarray:
     """Bitsliced violation flags over all 2^m colorings of graphs on one
     vertex count and one edge count m: bit b of word w of row i is set iff
     coloring 64w + b of graphs[i] is not bad (or, when m < 6, lies past
-    2^m)."""
+    2^m).
+
+    The rows are built by prefix doubling. Every clause within edges
+    0..base-1, base = min(m, _BASE_EDGES), is folded in one pass over the
+    words that cover those edges' colorings. Then each edge j = base..m-1
+    copies the words so far into the next half, where j is red, and folds
+    only the clauses whose highest edge is j, without j, at the width of
+    the words so far: a triangle can hold only where j is red, so it goes
+    into the copy, and a subtree only where j is blue, so below it.
+    """
     m = graphs[0].m
-    width = 1 << max(0, m - 6)
-    viol = np.zeros((len(graphs), width), dtype=np.uint64)
+    base = min(m, _BASE_EDGES)
+    viol = np.zeros((len(graphs), 1 << max(0, m - 6)), dtype=np.uint64)
     if m < 6:
         viol |= _ALL_ONES << np.uint64(1 << m)
-    if _CHUNK_WORDS // width < _MIN_GATHER:
-        # edges 0..5 stay constant words: no rows for them
-        fold, red = _fold_in_place, list(_LOW_EDGE_WORDS) + list(_red_rows(m, width, 6))
-    else:
-        fold, red = _fold_gathered, _red_rows(m, width, 0)
-    fold(viol, red, *triangle_picks(graphs), np.bitwise_and, np.bitwise_or)
-    # a coloring keeps its bit here iff every subtree has a red edge
-    some_red = np.full_like(viol, _ALL_ONES)
-    fold(some_red, red, *subtree_picks(graphs, k), np.bitwise_or, np.bitwise_and)
-    viol |= ~some_red
+    triangles = _by_top_edge(*triangle_picks(graphs), base, m)
+    subtrees = _by_top_edge(*subtree_picks(graphs, k), base, m)
+    width = 1 << max(0, base - 6)
+    # edge m-1 is only ever a top edge, and the widest fold is half a row
+    red = _red_rows(max(base, m - 1), max(width, viol.shape[1] >> 1))
+    prefix, prefix_red = viol[:, :width], red[:, :width]
+    _fold(prefix, prefix_red, *triangles[0], all_red=True)
+    _fold(prefix, prefix_red, *subtrees[0], all_red=False)
+    for tri, sub in zip(triangles[1:], subtrees[1:]):
+        # the next edge is blue on the words so far and red on their copy
+        blue, red_copy = viol[:, :width], viol[:, width : 2 * width]
+        red_copy[:] = blue
+        prefix_red = red[:, :width]
+        _fold(red_copy, prefix_red, *tri, all_red=True)
+        _fold(blue, prefix_red, *sub, all_red=False)
+        width *= 2
     return viol
 
 
-def _red_rows(m: int, width: int, first: int) -> np.ndarray:
-    """The red variable of each edge i = first..m-1 as a row of words."""
-    red = np.zeros((max(0, m - first), width), dtype=np.uint64)
-    for i, row in enumerate(red, first):
+def _by_top_edge(owner, picks, base: int, m: int) -> list:
+    """The clauses ``(owner, picks)`` within edges 0..base-1, then for each
+    j = base..m-1 the clauses whose highest edge is j, without edge j; each
+    part keeps its clauses in order, so graph by graph."""
+    if base == m:
+        return [(owner, picks)]
+    picks = np.sort(picks, axis=1)
+    top = np.maximum(picks[:, -1], base - 1)
+    order = np.argsort(top, kind="stable")
+    parts = np.split(order, np.searchsorted(top[order], np.arange(base, m)))
+    return [(owner[parts[0]], picks[parts[0]])] + [
+        (owner[part], picks[part, :-1]) for part in parts[1:]
+    ]
+
+
+def _red_rows(count: int, width: int) -> np.ndarray:
+    """The red variable of each edge i = 0..count-1 as a row of words."""
+    red = np.zeros((count, width), dtype=np.uint64)
+    for i, row in enumerate(red):
         if i < 6:
             row[:] = _LOW_EDGE_WORDS[i]
         else:
@@ -167,40 +201,41 @@ def _red_rows(m: int, width: int, first: int) -> np.ndarray:
     return red
 
 
-def _fold_gathered(out, red, owner, picks, clause_op, graph_op) -> None:
-    """``out[g] = graph_op(out[g], clause_op over red[pick])`` for every
-    clause of graph g, on chunks of gathered clause rows reduced per graph."""
-    step = _CHUNK_WORDS // out.shape[1]
+def _fold(out, red, owner, picks, *, all_red: bool) -> None:
+    """Set in ``out[g]`` each coloring in which some clause of graph g has
+    all its edges red (``all_red``, triangles) or none (subtrees), on
+    chunks of gathered clause rows reduced per graph."""
+    if not len(owner):
+        return
+    width = out.shape[1]
+    step = max(1, _CHUNK_WORDS // width)
+    clause_op, graph_op = (
+        (np.bitwise_and, np.bitwise_or) if all_red else (np.bitwise_or, np.bitwise_and)
+    )
     # where each graph's clauses, or a chunk, start
     first = np.ones(len(owner), dtype=bool)
-    first[1:] = owner[1:] != owner[:-1]
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
     first[::step] = True
     for start in range(0, len(picks), step):
         chunk = picks[start : start + step]
-        acc = red[chunk[:, 0]]
+        if chunk.shape[1]:
+            acc = red[chunk[:, 0]]
+        else:
+            # at k = 2 a subtree is its top edge alone, and without it no
+            # edge is red
+            acc = np.zeros((len(chunk), width), dtype=np.uint64)
         for column in chunk.T[1:]:
             clause_op(acc, red[column], out=acc)
-        starts = np.flatnonzero(first[start : start + step])
-        rows = owner[start + starts]
+        starts = first[start : start + step].nonzero()[0]
         if len(starts) > 1:
+            rows = owner[start + starts]
             acc = graph_op.reduceat(acc, starts, axis=0)
         else:
             # reduceat walks the columns one by one: slow on wide rows
-            acc = graph_op.reduce(acc, axis=0, keepdims=True)
-        out[rows] = graph_op(out[rows], acc)
-
-
-def _fold_in_place(out, red, owner, picks, clause_op, graph_op) -> None:
-    """``_fold_gathered`` one clause at a time through one scratch row."""
-    scratch = np.empty(out.shape[1], dtype=np.uint64)
-    for g, (first, *rest) in zip(owner.tolist(), picks.tolist()):
-        if rest:
-            clause_op(red[first], red[rest[0]], out=scratch)
-            for i in rest[1:]:
-                clause_op(scratch, red[i], out=scratch)
-            graph_op(out[g], scratch, out=out[g])
-        else:
-            graph_op(out[g], red[first], out=out[g])
+            rows = owner[start]
+            acc = graph_op.reduce(acc, axis=0)
+        # for subtrees, acc is where every clause has a red edge
+        out[rows] = out[rows] | (acc if all_red else ~acc)
 
 
 def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
@@ -211,9 +246,17 @@ def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
         raise GraphError(
             f"full scan caps at m <= {MAX_SCAN_EDGES} edges, got {g.m}"
         )
-    good = ~_violation_rows([g], k)[0]
-    bits = np.unpackbits(good.astype("<u8").view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits).astype(np.uint32)
+    viol = _violation_rows([g], k)[0]
+    # unpack only the words that hold a bad coloring, and keep every
+    # temporary of the result's length uint32, as the result is
+    words = (viol != _ALL_ONES).nonzero()[0]
+    good = ~viol[words]
+    bits = np.unpackbits(good.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    masks = bits.nonzero()[0].astype(np.uint32)
+    if len(words) < len(viol):
+        # unpacked bit p is coloring p + 64 (words[i] - i) for i = p >> 6
+        masks += ((words - np.arange(len(words))) << 6).astype(np.uint32)[masks >> 6]
+    return masks
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import hashlib
 import operator
 import pathlib
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -249,16 +250,52 @@ def test_violation_rows_match_reference_on_every_class(k):
             _assert_rows_match_reference(graphs, k)
 
 
-@pytest.mark.parametrize("m", [1, 3, 5, 17, 18, 19, 20, 21, 22])
+@pytest.mark.parametrize("m", range(1, 25))
 def test_violation_rows_match_reference_on_seeded_graphs(m):
-    # m < 6 leaves unused bits in each row's only word; from m = 18 on each
-    # clause is folded in place, m = 17 gathers eight clauses a chunk
+    # m < 6 leaves unused bits in each row's only word; up to
+    # oracle._BASE_EDGES edges one fold takes every clause, and past it
+    # each edge doubles the rows and folds the clauses whose top edge it is
     rng = random.Random(900 + m)
     n = 7 if m <= 21 else 8
     pairs = list(combinations(range(n), 2))
     graphs = [Graph(n, rng.sample(pairs, m)) for _ in range(2)]
-    for k in range(2, 5):  # one, two and three literals a subtree clause
+    # one, two and three literals a subtree clause, so at k = 2 a subtree
+    # without its top edge is empty; past m = 22 the reference takes over
+    # a second on three-literal clauses, so they stop there
+    for k in range(2, 5 if m <= 22 else 4):
         _assert_rows_match_reference(graphs, k)
+
+
+@pytest.mark.parametrize(
+    "g, good_words",
+    [
+        # r(K3, T_3) = 5: K_5 has no bad coloring at k = 3
+        (complete(5), "none"),
+        # two disjoint K_4: 3 x 3 bad colorings, in 3 of 64 words
+        (Graph(8, complete(4).edges + tuple((u + 4, v + 4) for u, v in complete(4).edges)), "some"),
+        # a matching has no triangle and no 3-vertex tree: all bad
+        (Graph(16, [(2 * i, 2 * i + 1) for i in range(8)]), "all"),
+    ],
+)
+def test_brute_force_reads_the_good_words(g, good_words):
+    viol = _violation_words(g, 3)
+    good = int((viol != _ALL_ONES).sum())
+    assert good_words == ("none" if not good else "all" if good == len(viol) else "some")
+    _assert_scan_matches_predicate(g, 3)
+
+
+def test_brute_force_peak_memory_at_the_edge_cap():
+    # no red row holds the top edge and none is wider than half a row:
+    # 44.0 MB traced when every clause was folded over full rows
+    g = complete_bipartite(4, 6)
+    brute_force_bad_colorings(g, 3)  # warm the subtree tables
+    tracemalloc.start()
+    try:
+        brute_force_bad_colorings(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6
 
 
 def test_brute_force_at_the_edge_cap():
