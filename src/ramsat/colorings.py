@@ -5,6 +5,9 @@ subgraph contains no triangle and every component of the blue subgraph
 spans at most k-1 vertices. The component bound is equivalent to the blue
 subgraph containing no tree on k vertices: a graph contains some k-vertex
 tree exactly when it has a connected subgraph on k vertices.
+
+numpy is imported inside the clause-pick functions that compute with it,
+never at module level, so checking a coloring does not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .graphs import Graph, GraphError, component_masks
 
@@ -186,7 +187,9 @@ def enumerate_subtrees(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*subtree_picks([g], k)[1].T.tolist()))
 
 
-def subtree_picks(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarray]:
+def subtree_picks(
+    graphs: Sequence[Graph], k: int, *, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``enumerate_subtrees`` for a batch of graphs on one vertex count: the
     index of the graph that holds each subtree and the subtree's k-1 edge
     indices, graph by graph, each graph's subtrees in the order
@@ -194,8 +197,12 @@ def subtree_picks(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarr
 
     A k-subset's spanning trees are the spanning trees of K_k that its
     induced subgraph contains, so one table per k, from
-    ``_spanning_trees``, serves every subset.
+    ``_spanning_trees``, serves every subset. ``ids`` is the batch's
+    ``edge_ids`` table, built here when not given: a caller that lists
+    triangles too builds it once for both.
     """
+    import numpy as np
+
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     if not graphs or k > graphs[0].n:
@@ -205,14 +212,22 @@ def subtree_picks(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarr
             f"subtree enumeration caps at k <= {MAX_SUBTREE_K} on graphs with"
             f" at least k vertices, got k={k}"
         )
-    return _induced_picks(graphs, k, *_spanning_trees(k))
+    if ids is None:
+        ids = edge_ids(graphs)
+    return _induced_picks(graphs, k, *_spanning_trees(k), ids)
 
 
-def triangle_picks(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+def triangle_picks(
+    graphs: Sequence[Graph], *, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The triangles of a batch of graphs on one vertex count, as
-    ``subtree_picks`` lists subtrees: each graph's
+    ``subtree_picks`` lists subtrees (and takes ``ids``): each graph's
     ``Graph.triangle_edge_triples()`` in the same order."""
-    return _induced_picks(graphs, 3, np.array([0b111]), np.array([[0, 1, 2]]))
+    import numpy as np
+
+    if ids is None:
+        ids = edge_ids(graphs)
+    return _induced_picks(graphs, 3, np.array([0b111]), np.array([[0, 1, 2]]), ids)
 
 
 @functools.cache
@@ -220,6 +235,8 @@ def _spanning_trees(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The spanning trees of K_k over its pairs (a, b), a < b, numbered in
     combinations order: each tree's bitmask of pairs and its k-1 pair
     numbers, ascending, the trees in combinations order of those numbers."""
+    import numpy as np
+
     ends = np.array([1 << a | 1 << b for a, b in combinations(range(k), 2)])
     picks = np.array(list(combinations(range(len(ends)), k - 1)), dtype=np.intp)
     # k-1 edges on k vertices form a tree iff they reach all k from vertex
@@ -233,15 +250,21 @@ def _spanning_trees(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _induced_picks(
-    graphs: Sequence[Graph], k: int, masks: np.ndarray, table: np.ndarray
+    graphs: Sequence[Graph],
+    k: int,
+    masks: np.ndarray,
+    table: np.ndarray,
+    ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each graph and each k-subset in combinations order, the entries
     of ``table`` (subgraphs of K_k as pair numbers, with their bitmasks
     ``masks``) that the subset's induced subgraph contains, as edge
-    indices of the graph, tagged by graph."""
+    indices of the graph from its ``edge_ids`` table ``ids``, tagged by
+    graph."""
+    import numpy as np
+
     n = graphs[0].n
     pairs = np.array(list(combinations(range(k), 2))).T
-    ids = _edge_ids(graphs)
     weights = 1 << np.arange(pairs.shape[1])
     owners = [np.zeros(0, dtype=np.intp)]
     picks = [np.zeros((0, table.shape[1]), dtype=np.int32)]
@@ -264,9 +287,11 @@ def _induced_picks(
     return np.concatenate(owners), np.concatenate(picks)
 
 
-def _edge_ids(graphs: Sequence[Graph]) -> np.ndarray:
+def edge_ids(graphs: Sequence[Graph]) -> np.ndarray:
     """``ids[i, u, v]``: the index of edge (u, v), u < v, in graphs[i], or
     -1 when it is not an edge."""
+    import numpy as np
+
     n = graphs[0].n
     ms = [g.m for g in graphs]
     ends = np.fromiter(
@@ -287,6 +312,8 @@ def _edge_ids(graphs: Sequence[Graph]) -> np.ndarray:
 def _subsets(n: int, k: int, step: int) -> Iterator[np.ndarray]:
     """The k-subsets of range(n) in combinations order, as arrays of at
     most ``step`` rows."""
+    import numpy as np
+
     it = combinations(range(n), k)
     while (chunk := np.fromiter(chain.from_iterable(islice(it, step)), np.intp)).size:
         yield chunk.reshape(-1, k)

@@ -5,14 +5,16 @@ intersection is a single ``&``. Edges carry fixed indices in lexicographic
 (u, v) order with u < v; colorings, certificates and CNF clauses all refer
 to edges through these indices, which makes every emitted artifact
 byte-reproducible.
+
+numpy is imported inside the canonical-form functions that compute with
+it, never at module level, so building, decoding and checking graphs
+does not load it.
 """
 
 from __future__ import annotations
 
 import base64
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "Graph",
@@ -315,6 +317,8 @@ def canonical_forms(adjs) -> list[bytes]:
     swaps. Rows are processed CANONICAL_BATCH at a time, which bounds the
     memory held.
     """
+    import numpy as np
+
     rows = np.asarray(adjs, dtype=np.int64)
     if rows.size == 0:
         return [b"\x00"] * len(rows)
@@ -348,6 +352,8 @@ def _canonical_orders(rows: np.ndarray) -> np.ndarray:
     the swap fixes the prefix and maps one extension's continuations onto
     the other's. A row whose refinement is discrete keeps one state.
     """
+    import numpy as np
+
     count, n = rows.shape
     vertex = np.arange(n)
     adj = rows[:, :, None] >> vertex & 1
@@ -381,6 +387,8 @@ def lower_twins(rows: np.ndarray) -> np.ndarray:
     the vertices u < v that agree with v off {u, v}: the u for which
     swapping u and v is an automorphism. Twinness is an equivalence
     relation, so v's lower twins are the members of its class below it."""
+    import numpy as np
+
     n = rows.shape[1]
     pair = 1 << np.arange(n)
     twin = (rows[:, :, None] ^ rows[:, None, :]) & ~(pair | pair[:, None]) == 0
@@ -402,6 +410,8 @@ def _refinement_colors(rows: np.ndarray) -> np.ndarray:
     of its neighbors' colors. A row stops when a round splits no class or
     leaves every vertex its own class.
     """
+    import numpy as np
+
     n = rows.shape[1]
     adj = rows[:, :, None] >> np.arange(n) & 1
     colors, nclasses = _row_ranks(adj.sum(axis=2))
@@ -423,6 +433,8 @@ def _refinement_colors(rows: np.ndarray) -> np.ndarray:
 def _row_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense rank of each key among the distinct keys of its row, and the
     number of distinct keys per row."""
+    import numpy as np
+
     n = keys.shape[1]
     equal = keys[:, :, None] == keys[:, None, :]
     # a key counts at the first vertex that has it
@@ -435,6 +447,8 @@ def _packed_forms(rows: np.ndarray, order: np.ndarray) -> list[bytes]:
     """The order n, then the columns of each row's adjacency matrix in the
     given vertex order above the diagonal, first bit first, right-aligned
     in whole bytes (at least one)."""
+    import numpy as np
+
     count, n = rows.shape
     placed = np.take_along_axis(rows, order, axis=1)
     later, earlier = np.tril_indices(n, -1)

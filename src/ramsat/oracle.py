@@ -26,6 +26,9 @@ lower twin of it is still unplaced; each representative keeps the form
 its batch computed. It is capped at 7 vertices for all graphs and at 10
 for triangle-free ones; larger orders come in through external graph6
 streams.
+
+numpy is imported inside the functions that compute with it, never at
+module level, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .colorings import subtree_picks, triangle_picks
+from .colorings import edge_ids, subtree_picks, triangle_picks
 from .graphs import (
     CANONICAL_BATCH,
     CANONICAL_MAX_N,
@@ -64,6 +65,8 @@ def enumerate_graphs(n: int, *, triangle_free: bool = False) -> tuple[Graph, ...
     representatives are exactly the triangle-free subsequence of the full
     enumeration.
     """
+    import numpy as np
+
     if n < 0:
         raise GraphError(f"n must be >= 0, got {n}")
     cap = CANONICAL_MAX_N if triangle_free else MAX_ENUM_N
@@ -110,6 +113,8 @@ def _extension_mask(base: np.ndarray, triangle_free: bool) -> np.ndarray:
     class as the smaller subset with v swapped for u, which enumeration
     reaches first; skipping it keeps every first representative.
     """
+    import numpy as np
+
     # parents have at most CANONICAL_MAX_N - 1 vertices, so int16 holds
     # every bitset and keeps the (parents, subsets) temporaries small
     subsets = np.arange(1 << base.shape[1], dtype=np.int16)
@@ -121,11 +126,11 @@ def _extension_mask(base: np.ndarray, triangle_free: bool) -> np.ndarray:
     return keep
 
 
-# red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1
-_LOW_EDGE_WORDS = tuple(
-    np.uint64(sum(1 << b for b in range(64) if b >> i & 1)) for i in range(6)
-)
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1.
+# Plain ints, so that the module loads without numpy; each use wraps them
+# in np.uint64, which keeps the rows uint64 under numpy 1.x and 2.x alike
+_LOW_EDGE_WORDS = tuple(sum(1 << b for b in range(64) if b >> i & 1) for i in range(6))
+_ALL_ONES = (1 << 64) - 1
 # words of gathered clause rows per chunk of a fold
 _CHUNK_WORDS = 1 << 14
 # the clauses within edges 0.._BASE_EDGES-1 are folded in one pass, and
@@ -150,13 +155,17 @@ def _violation_rows(graphs: Sequence[Graph], k: int) -> np.ndarray:
     the words so far: a triangle can hold only where j is red, so it goes
     into the copy, and a subtree only where j is blue, so below it.
     """
+    import numpy as np
+
     m = graphs[0].m
     base = min(m, _BASE_EDGES)
     viol = np.zeros((len(graphs), 1 << max(0, m - 6)), dtype=np.uint64)
     if m < 6:
-        viol |= _ALL_ONES << np.uint64(1 << m)
-    triangles = _by_top_edge(*triangle_picks(graphs), base, m)
-    subtrees = _by_top_edge(*subtree_picks(graphs, k), base, m)
+        viol |= np.uint64(_ALL_ONES << (1 << m) & _ALL_ONES)
+    # one edge-id table serves both kinds of clause
+    ids = edge_ids(graphs)
+    triangles = _by_top_edge(*triangle_picks(graphs, ids=ids), base, m)
+    subtrees = _by_top_edge(*subtree_picks(graphs, k, ids=ids), base, m)
     width = 1 << max(0, base - 6)
     # edge m-1 is only ever a top edge, and the widest fold is half a row
     red = _red_rows(max(base, m - 1), max(width, viol.shape[1] >> 1))
@@ -178,6 +187,8 @@ def _by_top_edge(owner, picks, base: int, m: int) -> list:
     """The clauses ``(owner, picks)`` within edges 0..base-1, then for each
     j = base..m-1 the clauses whose highest edge is j, without edge j; each
     part keeps its clauses in order, so graph by graph."""
+    import numpy as np
+
     if base == m:
         return [(owner, picks)]
     picks = np.sort(picks, axis=1)
@@ -191,13 +202,15 @@ def _by_top_edge(owner, picks, base: int, m: int) -> list:
 
 def _red_rows(count: int, width: int) -> np.ndarray:
     """The red variable of each edge i = 0..count-1 as a row of words."""
+    import numpy as np
+
     red = np.zeros((count, width), dtype=np.uint64)
     for i, row in enumerate(red):
         if i < 6:
-            row[:] = _LOW_EDGE_WORDS[i]
+            row[:] = np.uint64(_LOW_EDGE_WORDS[i])
         else:
             # all ones on the words whose index has bit i - 6 set
-            row.reshape(-1, 2, 1 << i - 6)[:, 1] = _ALL_ONES
+            row.reshape(-1, 2, 1 << i - 6)[:, 1] = np.uint64(_ALL_ONES)
     return red
 
 
@@ -205,6 +218,8 @@ def _fold(out, red, owner, picks, *, all_red: bool) -> None:
     """Set in ``out[g]`` each coloring in which some clause of graph g has
     all its edges red (``all_red``, triangles) or none (subtrees), on
     chunks of gathered clause rows reduced per graph."""
+    import numpy as np
+
     if not len(owner):
         return
     width = out.shape[1]
@@ -240,6 +255,8 @@ def _fold(out, red, owner, picks, *, all_red: bool) -> None:
 
 def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
     """Red-edge bitmasks of every bad coloring, ascending."""
+    import numpy as np
+
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     if g.m > MAX_SCAN_EDGES:
@@ -249,7 +266,7 @@ def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
     viol = _violation_rows([g], k)[0]
     # unpack only the words that hold a bad coloring, and keep every
     # temporary of the result's length uint32, as the result is
-    words = (viol != _ALL_ONES).nonzero()[0]
+    words = (viol != np.uint64(_ALL_ONES)).nonzero()[0]
     good = ~viol[words]
     bits = np.unpackbits(good.astype("<u8", copy=False).view(np.uint8), bitorder="little")
     masks = bits.nonzero()[0].astype(np.uint32)
@@ -279,6 +296,8 @@ def compute_sat(n: int, k: int) -> SatResult:
     forms per round, so that each class stops at its first G+uv that has
     a bad coloring.
     """
+    import numpy as np
+
     if n < 0:
         raise GraphError(f"n must be >= 0, got {n}")
     if n > MAX_ENUM_N:
@@ -293,7 +312,7 @@ def compute_sat(n: int, k: int) -> SatResult:
     bad = [False] * len(classes)
     for group in by_size.values():
         rows = _violation_rows([classes[i] for i in group], k)
-        for i, flag in zip(group, (rows != _ALL_ONES).any(axis=1).tolist()):
+        for i, flag in zip(group, (rows != np.uint64(_ALL_ONES)).any(axis=1).tolist()):
             bad[i] = flag
     has_bad = dict(zip((g.canonical_form() for g in classes), bad))
     saturated = [False] * len(classes)

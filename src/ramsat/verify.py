@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from . import oracle, saturation, search
 from .colorings import forced_blue_edges
 from .constructions import (
@@ -306,7 +304,7 @@ def criterion_10(quick: bool = False, budget: SearchBudget | None = None) -> str
                 if len(masks) == 0:
                     continue
                 forced = forced_blue_edges(g, k).edges
-                if any(np.any(masks & np.uint32(1 << e)) for e in forced):
+                if any((masks & (1 << e)).any() for e in forced):
                     raise _Failed(f"red high-triangle edge in {g.to_graph6()} k={k}")
                 scanned += 1
     # (b) + (c) structure of the unique and the max-red colorings

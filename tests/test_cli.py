@@ -19,7 +19,7 @@ from ramsat import cli, oracle, verify
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import KINDS, ConstructionSpec, build
-from ramsat.graphs import complete, disjoint_union, from_graph6, path, star
+from ramsat.graphs import complete, disjoint_union, from_graph6, path, petersen, star
 from ramsat.search import InconclusiveError, _Engine
 
 
@@ -921,3 +921,79 @@ def test_every_subcommand_stops_under_a_jumping_clock(
     # at most 3 reads for a check and 18 for verify-paper --quick, as
     # measured; the rest read none
     assert clock.reads <= 20
+
+
+# run in a fresh interpreter: each step is an argv for cli.main or
+# "canonical_form" (of the Petersen graph); prints whether numpy is loaded
+# at the start, then per step its exit code, stdout, and whether numpy is
+# loaded after it
+_FRESH_STEPS = r"""
+import contextlib, io, json, sys
+import ramsat, ramsat.cli, ramsat.verify
+from ramsat.graphs import petersen
+
+loaded = "numpy" in sys.modules
+results = []
+for step in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if step == "canonical_form":
+            code = 0
+            print(petersen().canonical_form().hex())
+        else:
+            code = ramsat.cli.main(step)
+    results.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps([loaded, results]))
+"""
+
+
+def _fresh_steps(steps):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_STEPS, json.dumps(steps)],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_for_the_commands_that_compute_with_it(capsys, geven18_file):
+    """Importing the package and running every check, construct and
+    export dot|graph6 leaves numpy unloaded; export cnf, sat and
+    Graph.canonical_form() each load it, and every output is the one this
+    process gives."""
+    plain = (
+        [
+            ["check", predicate, geven18_file, "--k", "4", "--format", fmt]
+            for predicate in ("arrow", "bad-coloring", "count", "saturated", "minimal")
+            for fmt in ("text", "json")
+        ]
+        + [["construct", "geven", "--n", "18", "--format", "graph6"]]
+        + [
+            ["construct", "geven", "--n", "18", "--coloring", "--format", fmt]
+            for fmt in ("text", "json", "dot")
+        ]
+        + [["export", what, geven18_file] for what in ("dot", "graph6")]
+    )
+    loaded, results = _fresh_steps(plain)
+    assert not loaded
+    for argv, (code, out, numpy_loaded) in zip(plain, results, strict=True):
+        assert not numpy_loaded, argv
+        assert [code, out] == list(run(capsys, argv)[:2]), argv
+    for step in (
+        ["export", "cnf", geven18_file, "--k", "4"],
+        ["sat", "--n", "5", "--k", "3"],
+        "canonical_form",
+    ):
+        loaded, [(code, out, numpy_loaded)] = _fresh_steps([step])
+        assert not loaded and numpy_loaded, step
+        if step == "canonical_form":
+            want = [0, petersen().canonical_form().hex() + "\n"]
+        else:
+            want = list(run(capsys, step)[:2])
+        assert [code, out] == want, step

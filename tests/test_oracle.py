@@ -205,6 +205,23 @@ def test_brute_force_word_boundaries(m):
         _assert_scan_matches_predicate(g, k)
 
 
+@pytest.mark.parametrize("m", [0, 1, 5, 6, 7, 13])
+def test_scan_dtypes_and_padding(m):
+    # numpy 1.x promotes Python-int scalars by value and numpy 2 by type:
+    # either way the rows stay uint64 with every bit past 2^m set, and the
+    # masks stay ascending uint32, on both sides of oracle._BASE_EDGES
+    g = Graph(6, complete(6).edges[:m])
+    for k in (2, 3):
+        rows = oracle._violation_rows([g], k)
+        assert rows.dtype == np.uint64
+        if m < 6:
+            assert int(rows[0, 0]) >> (1 << m) == (1 << 64 - (1 << m)) - 1
+        masks = brute_force_bad_colorings(g, k)
+        assert masks.dtype == np.uint32
+        assert (np.diff(masks.astype(np.int64)) > 0).all()
+        assert len(masks) == count_bad_colorings(g, k).count
+
+
 # the per-clause scan that the batched one replaced, kept as its reference
 # red variable of edge i < 6 inside every word: bit b is set iff b >> i & 1
 _LOW_EDGE_WORDS = tuple(
@@ -451,3 +468,46 @@ def test_ground_truth_imports_no_engine_code():
     ground_truth = {"graphs", "colorings"}
     for module in ("graphs", "colorings", "oracle"):
         assert imports[module] <= ground_truth, (module, imports[module])
+
+
+def _import_time_numpy(tree):
+    """Line numbers of the numpy imports that run when the module parsed
+    as ``tree`` is imported: every one outside a function body, however
+    deep in a module-level ``if``, ``try``, ``with`` or class body."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_import_time_numpy_walk_sees_nested_imports():
+    source = (
+        "import numpy as np\n"
+        "if True:\n    from numpy import uint64\n"
+        "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
+        "class A:\n    import numpy\n"
+        "def f():\n    import numpy as np\n"
+        "import numbers\n"
+    )
+    assert _import_time_numpy(ast.parse(source)) == [1, 3, 5, 9]
+
+
+def test_no_module_imports_numpy_at_import_time():
+    # numpy is imported in the functions that compute with it, so checking
+    # one graph through the CLI never pays for loading it
+    src = pathlib.Path(oracle.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert {"graphs", "colorings", "oracle", "verify", "cli"} <= {p.stem for p in paths}
+    for path in paths:
+        assert _import_time_numpy(ast.parse(path.read_text())) == [], path.name
