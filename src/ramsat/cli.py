@@ -48,8 +48,8 @@ def _read_graph(path: str) -> Graph:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     for line in lines:
-        if line.strip():
-            return from_graph6(line.strip())
+        if line := line.strip():
+            return from_graph6(line)
     raise GraphError(f"no graph6 line found in {path!r}")
 
 

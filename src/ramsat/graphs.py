@@ -460,25 +460,32 @@ def _packed_forms(rows: np.ndarray, order: np.ndarray) -> list[bytes]:
 
 # -- graph6 codec ----------------------------------------------------------
 
-# each byte with its bit order reversed, and base64's digits as graph6's:
-# digit d is character 63 + d
+# graph6 digit d is character 63 + d and base64 digit d; base64 reads
+# each byte most significant bit first, graph6's packed columns least first
+_ALPHABET = "".join(map(chr, range(63, 127)))
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = bytes.maketrans(_BASE64_ALPHABET, _ALPHABET.encode())
+_BASE64 = bytes.maketrans(_ALPHABET.encode(), _BASE64_ALPHABET)
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+# the vertex-count forms, one per number of leading "~"s: the largest n
+# each holds, its "~"s and its digits, most significant first
+_HEADERS = ((62, 0, 1), (258047, 1, 3), (68719476735, 2, 6))
 
 
 def _graph6_encode_n(n: int) -> str:
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return chr(126) + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return chr(126) + chr(126) + "".join(
-            chr((n >> s & 0x3F) + 63) for s in (30, 24, 18, 12, 6, 0)
-        )
+    for top, tildes, width in _HEADERS:
+        if n <= top:
+            return "~" * tildes + "".join(
+                chr((n >> 6 * i & 0x3F) + 63) for i in reversed(range(width))
+            )
     raise GraphError(f"n={n} too large for graph6")
+
+
+def _unpack(digits: str) -> bytes:
+    """graph6 digits as bytes, 6 bits a digit, most significant first,
+    and zero digits up to a whole base64 quantum."""
+    padded = digits + "?" * (-len(digits) % 4)
+    return base64.b64decode(padded.encode().translate(_BASE64))
 
 
 def from_graph6(line: str) -> Graph:
@@ -488,52 +495,42 @@ def from_graph6(line: str) -> Graph:
         raise Graph6Error("empty graph6 line", 0)
     if text.startswith(">>"):
         raise Graph6Error("graph6 header is not accepted", 0)
-    data = []
-    for pos, ch in enumerate(text):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(f"invalid graph6 character {ch!r}", pos)
-        data.append(code - 63)
-    pos = 0
-    if data[0] < 63:
-        n = data[0]
-        pos = 1
-    else:
-        if len(data) >= 2 and data[1] == 63:
-            if len(data) < 8:
-                raise Graph6Error("truncated 6-byte vertex count", len(text))
-            n = 0
-            for value in data[2:8]:
-                n = (n << 6) | value
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise Graph6Error("truncated 3-byte vertex count", len(text))
-            n = 0
-            for value in data[1:4]:
-                n = (n << 6) | value
-            pos = 4
+    rest = text.lstrip(_ALPHABET)
+    if rest:
+        raise Graph6Error(
+            f"invalid graph6 character {rest[0]!r}", len(text) - len(rest)
+        )
+    tildes = 0 if text[0] != "~" else 2 if text[1:2] == "~" else 1
+    _, _, width = _HEADERS[tildes]
+    pos = tildes + width
+    if len(text) < pos:
+        raise Graph6Error(f"truncated {width}-byte vertex count", len(text))
+    # the padding digits are the low bits of the unpacked count
+    n = int.from_bytes(_unpack(text[tildes:pos]), "big") >> 6 * (-width % 4)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(data) - pos != need:
+    if len(text) - pos != need:
         raise Graph6Error(
-            f"expected {need} adjacency bytes for n={n}, got {len(data) - pos}",
+            f"expected {need} adjacency bytes for n={n}, got {len(text) - pos}",
             min(len(text), pos + need),
         )
-    bitstr = "".join(format(value, "06b") for value in data[pos:])
+    # a leading 1 keeps the body's leading zero bits: bin() writes "0b1",
+    # then bit b of the body at bitstr[3 + b], all in one string
+    bitstr = bin(int.from_bytes(b"\x01" + _unpack(text[pos:]), "big"))
+    end = 3 + nbits
     edges = []
-    # bit b is pair (u, v) with b = v(v-1)/2 + u; column v starts at base
+    # bit b is pair (u, v) with b = v(v-1)/2 + u; column v starts at bitstr[base]
     v = 1
-    base = 0
-    b = bitstr.find("1", 0, nbits)
+    base = 3
+    b = bitstr.find("1", base, end)
     while b >= 0:
         while b >= base + v:
             base += v
             v += 1
         edges.append((b - base, v))
-        b = bitstr.find("1", b + 1, nbits)
+        b = bitstr.find("1", b + 1, end)
     # trailing padding must be zero
-    if "1" in bitstr[nbits:]:
+    if "1" in bitstr[end:]:
         raise Graph6Error("nonzero padding bits", len(text) - 1)
     return Graph(n, edges)
 

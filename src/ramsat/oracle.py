@@ -186,12 +186,12 @@ def _violation_rows(graphs: Sequence[Graph], k: int) -> np.ndarray:
 def _by_top_edge(owner, picks, base: int, m: int) -> list:
     """The clauses ``(owner, picks)`` within edges 0..base-1, then for each
     j = base..m-1 the clauses whose highest edge is j, without edge j; each
-    part keeps its clauses in order, so graph by graph."""
+    part keeps its clauses in order, so graph by graph. Rows of ``picks``
+    come ascending from the pick functions: a row ends in its highest edge."""
     import numpy as np
 
     if base == m:
         return [(owner, picks)]
-    picks = np.sort(picks, axis=1)
     top = np.maximum(picks[:, -1], base - 1)
     order = np.argsort(top, kind="stable")
     parts = np.split(order, np.searchsorted(top[order], np.arange(base, m)))

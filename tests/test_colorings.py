@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from ramsat.colorings import (
@@ -257,6 +258,18 @@ def test_subtree_and_triangle_picks_batch(k):
     assert list(zip(owner.tolist(), map(tuple, picks.tolist()))) == [
         (i, tri) for i, g in enumerate(graphs) for tri in g.triangle_edge_triples()
     ]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_picks_rows_are_ascending(k):
+    # oracle._by_top_edge takes each row's last entry as its highest edge
+    for n in range(2, 11):
+        graphs = _seeded_graphs(900 + 10 * k + n, 20, (n, n), 24)
+        if n <= 7:
+            graphs.append(complete(n))
+        for owner, picks in (subtree_picks(graphs, k), triangle_picks(graphs)):
+            assert len(owner) == len(picks)
+            assert (np.diff(picks, axis=1) > 0).all(), (n, k)
 
 
 def test_enumerate_subtrees_caps_k():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -31,6 +32,7 @@ from ramsat.graphs import (
     lower_twins,
     star,
     _canonical_orders,
+    _graph6_encode_n,
     _refinement_colors,
 )
 from ramsat.oracle import enumerate_graphs
@@ -584,6 +586,121 @@ def test_graph6_matches_the_string_encoder():
             assert g.to_graph6() == _string_graph6(g), (n, density)
 
 
+def _string_from_graph6(line):
+    """The reference decoder: each character checked and turned into its
+    6-bit digit in a loop, the body as one '0'/'1' string."""
+    text = line.rstrip("\r\n")
+    if not text:
+        raise Graph6Error("empty graph6 line", 0)
+    if text.startswith(">>"):
+        raise Graph6Error("graph6 header is not accepted", 0)
+    data = []
+    for pos, ch in enumerate(text):
+        code = ord(ch)
+        if not 63 <= code <= 126:
+            raise Graph6Error(f"invalid graph6 character {ch!r}", pos)
+        data.append(code - 63)
+    pos = 0
+    if data[0] < 63:
+        n = data[0]
+        pos = 1
+    else:
+        if len(data) >= 2 and data[1] == 63:
+            if len(data) < 8:
+                raise Graph6Error("truncated 6-byte vertex count", len(text))
+            n = 0
+            for value in data[2:8]:
+                n = (n << 6) | value
+            pos = 8
+        else:
+            if len(data) < 4:
+                raise Graph6Error("truncated 3-byte vertex count", len(text))
+            n = 0
+            for value in data[1:4]:
+                n = (n << 6) | value
+            pos = 4
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - pos != need:
+        raise Graph6Error(
+            f"expected {need} adjacency bytes for n={n}, got {len(data) - pos}",
+            min(len(text), pos + need),
+        )
+    bitstr = "".join(format(value, "06b") for value in data[pos:])
+    edges = []
+    # bit b is pair (u, v) with b = v(v-1)/2 + u; column v starts at base
+    v = 1
+    base = 0
+    b = bitstr.find("1", 0, nbits)
+    while b >= 0:
+        while b >= base + v:
+            base += v
+            v += 1
+        edges.append((b - base, v))
+        b = bitstr.find("1", b + 1, nbits)
+    # trailing padding must be zero
+    if "1" in bitstr[nbits:]:
+        raise Graph6Error("nonzero padding bits", len(text) - 1)
+    return Graph(n, edges)
+
+
+def _decoded(decode, line):
+    try:
+        return decode(line)
+    except Graph6Error as err:
+        return str(err), err.offset
+
+
+def _seeded_graph6_lines(rng):
+    """Valid lines in all three header forms, then each with one character
+    replaced, cut short or extended, then random lines."""
+    valid = []
+    for n in [*range(9), 62, 63, 64, 100]:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.0, rng.random(), rng.random(), 1.0):
+            line = Graph(n, [e for e in pairs if rng.random() < density]).to_graph6()
+            body = line[1:] if n <= 62 else line[4:]
+            digits = "".join(chr((n >> s & 0x3F) + 63) for s in range(30, -1, -6))
+            valid += [line, "~" + digits[3:] + body, "~~" + digits + body]
+    alphabet = [chr(c) for c in range(63, 127)]
+    odd = ["\x00", " ", ">", "\x7f", "é", "\u2603", "\udcff", "\n", "\r"]
+    lines = list(valid)
+    for line in valid:
+        for _ in range(10):
+            i = rng.randrange(len(line))
+            ch = rng.choice(odd if rng.random() < 0.3 else alphabet)
+            lines.append(line[:i] + ch + line[i + 1 :])
+        lines.append(line[: rng.randrange(len(line))])
+        lines.append(line + "".join(rng.choices(alphabet, k=rng.randint(1, 3))))
+        lines.append(line + "\r\n")
+    for _ in range(1500):
+        lines.append("".join(rng.choices(alphabet + ["~"] * 8, k=rng.randint(1, 12))))
+    lines += [">>graph6<<A_", ">>", "~", "~~"]
+    return lines
+
+
+def test_graph6_decoder_matches_the_string_decoder():
+    """The same graph, or the same error text and offset, on seeded lines."""
+    lines = _seeded_graph6_lines(random.Random(6))
+    assert len(lines) > 3000
+    for line in lines:
+        assert _decoded(from_graph6, line) == _decoded(_string_from_graph6, line), line
+
+
+def test_graph6_decode_memory_is_linear_in_the_line():
+    # the string decoder peaked at about 80 bytes a character: a list of
+    # digits and a string of 6 bits a character
+    text = path(1000).to_graph6()
+    tracemalloc.start()
+    try:
+        g = from_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == path(1000)
+    assert peak < 20 * len(text), peak / len(text)
+
+
 def test_graph6_large_n_encoding():
     g = empty(64)
     assert from_graph6(g.to_graph6()) == g
@@ -629,6 +746,24 @@ def test_graph6_long_headers():
             from_graph6(text)
         assert str(err.value) == f"truncated {what} vertex count (byte offset {offset})"
         assert err.value.offset == offset
+
+
+def test_graph6_header_forms():
+    # each form at its first and last n, and the decoder reads each back
+    for n, head in [
+        (0, "?"),
+        (62, "}"),
+        (63, "~??~"),
+        (258047, "~}~~"),
+        (258048, "~~???~??"),
+        (68719476735, "~~~~~~~~"),
+    ]:
+        assert _graph6_encode_n(n) == head
+        with pytest.raises(Graph6Error) as err:
+            from_graph6(head + "?")
+        assert str(err.value).startswith(f"expected {(n * (n - 1) // 2 + 5) // 6} ")
+    with pytest.raises(GraphError, match="too large"):
+        _graph6_encode_n(68719476736)
 
 
 def test_dot_output():
