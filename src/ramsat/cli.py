@@ -39,11 +39,12 @@ def _read_graph(path: str) -> Graph:
     # buffer (io.StringIO) is read as it stands
     if path == "-":
         buffer = getattr(sys.stdin, "buffer", None)
+        # split the read text at once and keep no name for it, so only
+        # the lines, as from a file, are alive while the first decodes
         if buffer is None:
-            text = sys.stdin.read()
+            lines = sys.stdin.read().splitlines()
         else:
-            text = buffer.read().decode("utf-8", "surrogateescape")
-        lines = text.splitlines()
+            lines = buffer.read().decode("utf-8", "surrogateescape").splitlines()
     else:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()

@@ -10,11 +10,14 @@ count's classes; ``brute_force_bad_colorings`` is a batch of one): each
 graph's clauses, listed by ``colorings.triangle_picks`` and
 ``colorings.subtree_picks`` as edge-index arrays tagged by graph, are
 folded into that graph's own row in gathered chunks reduced per graph.
-The rows grow by prefix doubling: a clause whose highest edge is j can
-only hold where edge j is red (a triangle) or blue (a subtree), so past
-the first few edges each edge j doubles the words scanned so far and folds
-only its own clauses, without j, at the width of the colorings of edges
-0..j-1. Nothing here imports the search engine, so engine results can be
+The rows grow by prefix doubling over live words: a clause whose highest
+edge is j can only hold where edge j is red (a triangle) or blue (a
+subtree), so past the first few edges each edge j doubles the words still
+live, those where some graph has a coloring of edges 0..j-1 that violates
+nothing yet, and folds only its own clauses, without j, on them. A word
+that every graph's clauses rule out stays all ones however the later
+edges go, so it is dropped, and the scan stops once no word is live.
+Nothing here imports the search engine, so engine results can be
 checked against it. Graph enumeration is orderly generation with
 canonical-form rejection: one mask over all parents of a level, from
 ``graphs.lower_twins``, drops the one-vertex extensions that a twin swap
@@ -133,11 +136,11 @@ _LOW_EDGE_WORDS = tuple(sum(1 << b for b in range(64) if b >> i & 1) for i in ra
 _ALL_ONES = (1 << 64) - 1
 # words of gathered clause rows per chunk of a fold
 _CHUNK_WORDS = 1 << 14
-# the clauses within edges 0.._BASE_EDGES-1 are folded in one pass, and
-# each further edge doubles the rows and folds only the clauses it tops.
-# One pass costs less while rows are narrow: bases 8 to 14 read within
-# noise of each other on m = 20..24 scans, and 12 on up was the closest to
-# one pass on compute_sat's n = 6 batches (m <= 15)
+# the clauses within edges 0.._BASE_EDGES-1 (at least 6: each further
+# edge is a bit of the word index) are folded in one pass. Of bases 6 to
+# 12, 12 was fastest on the m = 20 scans and compute_sat's n = 6 batches,
+# where a doubling's fixed cost outweighs its narrow folds; 9 or 10 won on
+# the n = 7 batches at k >= 4, by about a tenth
 _BASE_EDGES = 12
 
 
@@ -147,39 +150,47 @@ def _violation_rows(graphs: Sequence[Graph], k: int) -> np.ndarray:
     coloring 64w + b of graphs[i] is not bad (or, when m < 6, lies past
     2^m).
 
-    The rows are built by prefix doubling. Every clause within edges
-    0..base-1, base = min(m, _BASE_EDGES), is folded in one pass over the
-    words that cover those edges' colorings. Then each edge j = base..m-1
-    copies the words so far into the next half, where j is red, and folds
-    only the clauses whose highest edge is j, without j, at the width of
-    the words so far: a triangle can hold only where j is red, so it goes
-    into the copy, and a subtree only where j is blue, so below it.
+    Every clause within edges 0..base-1, base = min(m, _BASE_EDGES), is
+    folded in one pass over the words of those edges' colorings. Then each
+    edge j = base..m-1 keeps only the live words ``idx``, where some row
+    still has a coloring that violates nothing, doubles them, blue on
+    ``idx`` and red on ``idx + 2^(j-6)``, and folds only the clauses whose
+    highest edge is j, without j: a triangle into the red copy, a subtree
+    into the blue words. Every coloring of a dead word holds a clause
+    within edges 0..j-1, as does every extension, so its copies would be
+    all ones; the live words are scattered into rows of all ones at the
+    end.
     """
     import numpy as np
 
     m = graphs[0].m
     base = min(m, _BASE_EDGES)
-    viol = np.zeros((len(graphs), 1 << max(0, m - 6)), dtype=np.uint64)
-    if m < 6:
-        viol |= np.uint64(_ALL_ONES << (1 << m) & _ALL_ONES)
     # one edge-id table serves both kinds of clause
     ids = edge_ids(graphs)
     triangles = _by_top_edge(*triangle_picks(graphs, ids=ids), base, m)
     subtrees = _by_top_edge(*subtree_picks(graphs, k, ids=ids), base, m)
-    width = 1 << max(0, base - 6)
-    # edge m-1 is only ever a top edge, and the widest fold is half a row
-    red = _red_rows(max(base, m - 1), max(width, viol.shape[1] >> 1))
-    prefix, prefix_red = viol[:, :width], red[:, :width]
-    _fold(prefix, prefix_red, *triangles[0], all_red=True)
-    _fold(prefix, prefix_red, *subtrees[0], all_red=False)
-    for tri, sub in zip(triangles[1:], subtrees[1:]):
-        # the next edge is blue on the words so far and red on their copy
-        blue, red_copy = viol[:, :width], viol[:, width : 2 * width]
-        red_copy[:] = blue
-        prefix_red = red[:, :width]
-        _fold(red_copy, prefix_red, *tri, all_red=True)
-        _fold(blue, prefix_red, *sub, all_red=False)
-        width *= 2
+    idx = np.arange(1 << max(0, base - 6))
+    words = np.zeros((len(graphs), len(idx)), dtype=np.uint64)
+    if m < 6:
+        words |= np.uint64(_ALL_ONES << (1 << m) & _ALL_ONES)
+    red = _red_words(idx, base)
+    _fold(words, red, *triangles[0], all_red=True)
+    _fold(words, red, *subtrees[0], all_red=False)
+    for j, tri, sub in zip(range(base, m), triangles[1:], subtrees[1:]):
+        live = np.bitwise_and.reduce(words, axis=0) != np.uint64(_ALL_ONES)
+        idx, words = idx[live], words[:, live]
+        if not len(idx):
+            # every row is all ones, and _fold divides by the width
+            break
+        red = _red_words(idx, j)
+        # the next edge is blue on the live words and red on their copy
+        words = np.concatenate([words, words], axis=1)
+        blue, red_copy = words[:, : len(idx)], words[:, len(idx) :]
+        _fold(red_copy, red, *tri, all_red=True)
+        _fold(blue, red, *sub, all_red=False)
+        idx = np.concatenate([idx, idx + (1 << j - 6)])
+    viol = np.full((len(graphs), 1 << max(0, m - 6)), np.uint64(_ALL_ONES))
+    viol[:, idx] = words
     return viol
 
 
@@ -200,17 +211,15 @@ def _by_top_edge(owner, picks, base: int, m: int) -> list:
     ]
 
 
-def _red_rows(count: int, width: int) -> np.ndarray:
-    """The red variable of each edge i = 0..count-1 as a row of words."""
+def _red_words(idx: np.ndarray, count: int) -> np.ndarray:
+    """The red variable of each edge i = 0..count-1 on the words ``idx``:
+    for i >= 6, all ones on the words whose index has bit i - 6 set."""
     import numpy as np
 
-    red = np.zeros((count, width), dtype=np.uint64)
-    for i, row in enumerate(red):
-        if i < 6:
-            row[:] = np.uint64(_LOW_EDGE_WORDS[i])
-        else:
-            # all ones on the words whose index has bit i - 6 set
-            row.reshape(-1, 2, 1 << i - 6)[:, 1] = np.uint64(_ALL_ONES)
+    red = np.empty((count, len(idx)), dtype=np.uint64)
+    red[:6] = np.array(_LOW_EDGE_WORDS[:count], dtype=np.uint64)[:, None]
+    red[6:] = idx >> np.arange(count - 6)[:, None] & 1
+    red[6:] *= np.uint64(_ALL_ONES)
     return red
 
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 from types import SimpleNamespace
@@ -430,6 +431,32 @@ def test_non_ascii_bytes_in_graph6_input(capsys, monkeypatch, tmp_path, source):
     code, out, err = check(b"D~\xff{\n")
     assert code == 2 and out == ""
     assert err == "error: invalid graph6 character '\\udcff' (byte offset 2)\n"
+
+
+def test_stdin_decode_peak_matches_a_file(monkeypatch, tmp_path):
+    # once split, the read text is dropped on stdin as it is for a file:
+    # keeping it alive while the line decoded traced one more line's bytes
+    import io
+
+    data = (star(3001).to_graph6() + "\n").encode()
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    stream = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape")
+    monkeypatch.setattr("sys.stdin", stream)
+    cli._read_graph(str(path))  # warm the decoder's tables
+
+    def peak(source):
+        tracemalloc.start()
+        try:
+            g = cli._read_graph(source)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == star(3001)
+        return traced
+
+    from_file = peak(str(path))
+    assert peak("-") < from_file + len(data) // 4
 
 
 def test_check_rejects_a_truncated_long_header(capsys, tmp_path):

@@ -271,7 +271,7 @@ def test_violation_rows_match_reference_on_every_class(k):
 def test_violation_rows_match_reference_on_seeded_graphs(m):
     # m < 6 leaves unused bits in each row's only word; up to
     # oracle._BASE_EDGES edges one fold takes every clause, and past it
-    # each edge doubles the rows and folds the clauses whose top edge it is
+    # each edge doubles the live words and folds the clauses it tops
     rng = random.Random(900 + m)
     n = 7 if m <= 21 else 8
     pairs = list(combinations(range(n), 2))
@@ -281,6 +281,63 @@ def test_violation_rows_match_reference_on_seeded_graphs(m):
     # a second on three-literal clauses, so they stop there
     for k in range(2, 5 if m <= 22 else 4):
         _assert_rows_match_reference(graphs, k)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (6, 4), (7, 3), (7, 4)])
+def test_violation_rows_match_reference_on_complete_graphs(n, k):
+    # every word dies partway through the doubling, except on K_6 at k = 4
+    # (below r(K3, T_4) = 7), whose bad colorings keep a few words live
+    _assert_rows_match_reference([complete(n)], k)
+
+
+def test_violation_rows_match_reference_when_one_row_dies():
+    # K_5 plus six edges has no bad coloring at k = 3, while K_{4,4}, with
+    # the same 8 vertices and 16 edges, has 209 (its blue matchings): the
+    # words the batch keeps are live in the second row only
+    g = Graph(8, complete(5).edges + ((5, 6), (5, 7), (6, 7), (0, 5), (1, 6), (2, 7)))
+    h = complete_bipartite(4, 4)
+    assert g.m == h.m == 16
+    _assert_rows_match_reference([g, h], 3)
+    rows = oracle._violation_rows([g, h], 3)
+    assert (rows[0] == _ALL_ONES).all()
+    assert len(brute_force_bad_colorings(h, 3)) == 209
+
+
+def _fold_widths(monkeypatch):
+    """The width of every fold from here on, in call order."""
+    widths = []
+    fold = oracle._fold
+
+    def recorded(out, *args, **kwargs):
+        widths.append(out.shape[1])
+        return fold(out, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_fold", recorded)
+    return widths
+
+
+def test_dead_words_are_not_folded(monkeypatch):
+    # K_{4,6} at k = 3: the two base folds, then two folds per further
+    # edge on the live words only, which stay a few hundred where the
+    # whole-row doubling folded half a row (2^17 words) at the last edge
+    widths = _fold_widths(monkeypatch)
+    g = complete_bipartite(4, 6)
+    assert len(brute_force_bad_colorings(g, 3)) == 1045
+    base = oracle._BASE_EDGES
+    assert widths[:2] == [1 << base - 6] * 2
+    assert len(widths) == 2 + 2 * (g.m - base)
+    assert max(widths[2:]) < (1 << 17) // 256
+
+
+def test_scan_stops_once_no_word_is_live(monkeypatch):
+    # K_7 has no bad coloring at k = 4: every word dies before the last
+    # edge, and nothing is folded after that
+    widths = _fold_widths(monkeypatch)
+    g = complete(7)
+    rows = oracle._violation_rows([g], 4)
+    assert (rows == _ALL_ONES).all() and rows.shape == (1, 1 << g.m - 6)
+    assert 2 <= len(widths) < 2 + 2 * (g.m - oracle._BASE_EDGES)
+    assert min(widths) > 0
 
 
 @pytest.mark.parametrize(
@@ -302,8 +359,10 @@ def test_brute_force_reads_the_good_words(g, good_words):
 
 
 def test_brute_force_peak_memory_at_the_edge_cap():
-    # no red row holds the top edge and none is wider than half a row:
-    # 44.0 MB traced when every clause was folded over full rows
+    # only the live words are doubled and folded, a few hundred at most,
+    # and the full 2 MB row is built once, at the end: 28.3 MB traced when
+    # the doubling carried every word, and 44.0 MB when every clause was
+    # folded over full rows
     g = complete_bipartite(4, 6)
     brute_force_bad_colorings(g, 3)  # warm the subtree tables
     tracemalloc.start()
@@ -312,7 +371,7 @@ def test_brute_force_peak_memory_at_the_edge_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36e6
+    assert peak < 5e6
 
 
 def test_brute_force_at_the_edge_cap():
