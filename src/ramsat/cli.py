@@ -24,6 +24,7 @@ from .constructions import (
     predicted_edge_count,
 )
 from .graphs import Graph, GraphError, from_graph6
+from .saturation import Records
 from .search import EXHAUSTED, FOUND, InconclusiveError, SearchBudget
 
 EXIT_OK = 0
@@ -69,16 +70,18 @@ def _emit(text: str, out_path: str | None) -> None:
 def _json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for dict keys that
     are str, written without the stdlib's pure-Python indent encoder, which
-    is most of a JSON command's time on large reports.
+    is most of a JSON command's time on large reports, with a
+    ``saturation.Records`` written as the list of its records.
 
     A list of flat records is filled into one ``%``-template, column by
     column, not written item by item: its items are all dicts with one set
     of str keys or all lists/tuples of one nonzero length, and each field,
     across the items, holds only exact ints, only strs, or only such records
     in turn (lists/tuples of one length, or dicts with one key set) whose
-    fields hold only exact ints or only strs. That covers a saturation
-    report's ``non_edges_checked`` and every certificate's ``edges`` rows;
-    any other list is written item by item."""
+    fields hold only exact ints or only strs. That covers every
+    certificate's ``edges`` rows; any other list is written item by item.
+    A ``Records`` hands over its columns as they stand, with no record
+    built and no type scan: a saturation report's ``non_edges_checked``."""
     return _write_json(obj, "") + "\n"
 
 
@@ -90,6 +93,20 @@ _JSON_SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+
+
+class _Shape:
+    """One record shape for the template path: ``fields`` pairs each key's
+    template text with its column, a sequence of leaves (exact ints, or
+    strs already encoded: each leaf's ``str`` is its JSON) or the
+    ``_Shape`` of records in turn; ``brackets`` are the record's, "{}" or
+    "[]". A plain class: a NamedTuple costs every CLI import ~70 us."""
+
+    __slots__ = ("fields", "brackets")
+
+    def __init__(self, fields: list, brackets: str):
+        self.fields = fields
+        self.brackets = brackets
 
 
 def _write_json(obj, pad: str) -> str:
@@ -112,12 +129,16 @@ def _write_json(obj, pad: str) -> str:
         try:  # scalars, such as a [u, v] pair
             items = [_JSON_SCALARS[type(item)](item) for item in obj]
         except KeyError:
-            leaves = []
-            template = _record_template(obj, inner, leaves, True)
-            if template is None:
+            shape = _record_fields(obj, True)
+            if shape is None:
                 items = [_write_json(item, inner) for item in obj]
             else:
-                items = [template % row for row in zip(*leaves)]
+                items = _filled(shape, inner)
+        brackets = "[]"
+    elif type(obj) is Records:
+        if not len(obj):
+            return "[]"
+        items = _filled(_columns_shape(obj), inner)
         brackets = "[]"
     else:
         # floats and whatever else the CLI does not emit; a JSON string never
@@ -127,38 +148,39 @@ def _write_json(obj, pad: str) -> str:
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
 
 
-def _record_template(items, pad, leaves, nested) -> str | None:
-    """The ``%``-template of one of items at indent pad, or None where items
-    are not flat records of one shape (see ``_json``). Each "%d"/"%s" in it
-    appends its column, in order, to leaves. A field is a column of exact
-    ints or of strs, or, where nested, a column of records of those."""
-    shape = _record_fields(items)
-    if shape is None:
-        return None
-    fields, brackets = shape
+def _filled(shape: _Shape, pad: str) -> list[str]:
+    """Each record's text at indent pad: one ``%``-template, filled row by
+    row from the columns of its leaves."""
+    leaves: list = []
+    template = _record_template(shape, pad, leaves)
+    return [template % row for row in zip(*leaves)]
+
+
+def _record_template(shape: _Shape, pad: str, leaves: list) -> str:
+    """The ``%``-template of one record of shape at indent pad; each "%s"
+    in it appends its column, in order, to leaves."""
     inner = pad + "  "
     parts = []
-    for key, column in fields:
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            leaves.append(column)
-            spec = "%d"
-        elif kinds == {str}:
-            leaves.append(list(map(_encode_str, column)))
-            spec = "%s"
+    for key, column in shape.fields:
+        if type(column) is _Shape:
+            parts.append(key + _record_template(column, inner, leaves))
         else:
-            spec = _record_template(column, inner, leaves, False) if nested else None
-            if spec is None:
-                return None
-        parts.append(key + spec)
+            leaves.append(column)
+            parts.append(key + "%s")
     sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(parts)}\n{pad}{brackets[1]}"
+    return f"{shape.brackets[0]}\n{inner}{sep.join(parts)}\n{pad}{shape.brackets[1]}"
 
 
-def _record_fields(items):
-    """([(key text, column), ...], brackets) when items share one record
-    shape: all dicts with one set of str keys, or all lists/tuples of one
-    nonzero length. None otherwise."""
+def _key_text(key: str) -> str:
+    # a key is literal template text
+    return _encode_str(key).replace("%", "%%") + ": "
+
+
+def _record_fields(items, nested: bool) -> _Shape | None:
+    """The ``_Shape`` of items when they share one record shape: all dicts
+    with one set of str keys, or all lists/tuples of one nonzero length,
+    each field a column of exact ints or of strs, or, where nested, of such
+    records in turn (see ``_json``). None otherwise."""
     first = items[0]
     kinds = set(map(type, items))
     if kinds == {dict}:
@@ -169,17 +191,39 @@ def _record_fields(items):
         ):
             return None
         try:
-            fields = [
-                # a key is literal template text
-                (_encode_str(key).replace("%", "%%") + ": ", [item[key] for item in items])
-                for key in sorted(first)
-            ]
+            pairs = [(_key_text(key), [item[key] for item in items]) for key in sorted(first)]
         except KeyError:
             return None
-        return fields, "{}"
-    if kinds <= {list, tuple} and first and set(map(len, items)) == {len(first)}:
-        return [("", column) for column in zip(*items)], "[]"
-    return None
+        brackets = "{}"
+    elif kinds <= {list, tuple} and first and set(map(len, items)) == {len(first)}:
+        pairs = [("", column) for column in zip(*items)]
+        brackets = "[]"
+    else:
+        return None
+    fields = []
+    for key, column in pairs:
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            column = list(map(_encode_str, column))
+        elif kinds != {int}:
+            column = _record_fields(column, False) if nested else None
+            if column is None:
+                return None
+        fields.append((key, column))
+    return _Shape(fields, brackets)
+
+
+def _columns_shape(records: Records) -> _Shape:
+    """The ``_Shape`` of a nonempty ``Records``, read off each column's
+    first value: a column holds one type throughout."""
+    fields = []
+    for key, column in sorted(records.columns.items()):
+        if type(column[0]) is tuple:  # int tuples, written as lists
+            column = _Shape([("", part) for part in zip(*column)], "[]")
+        elif type(column[0]) is str:
+            column = list(map(_encode_str, column))
+        fields.append((_key_text(key), column))
+    return _Shape(fields, "{}")
 
 
 # -- construct ----------------------------------------------------------------
@@ -266,7 +310,7 @@ def _cmd_check(args) -> int:
     if args.predicate == "saturated":
         rep = saturation.is_rmin_saturated(g, k, budget)
         if args.format == "json":
-            _emit(_json(rep.as_dict()), None)
+            _emit(_json(rep.payload()), None)
         else:
             lines = [f"saturated: {rep.verdict} ({rep.status})", rep.reason]
             for o in rep.non_edge_outcomes:

@@ -14,6 +14,7 @@ does not load it.
 from __future__ import annotations
 
 import base64
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -127,23 +128,51 @@ class Graph:
     __slots__ = ("n", "adj", "edges", "_edge_index", "_tri_cache", "_form")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise GraphError(f"vertex count must be >= 0, got {n}")
-        adj = [0] * n
-        edge_set = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"loop at vertex {u} is not allowed")
-            if u > v:
-                u, v = v, u
-            edge_set.add((u, v))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.n = n
+        # n and the endpoints are taken through operator.index: a numpy
+        # integer would leak into edges, and overflow a shift past bit 63
+        try:
+            n = index(n)
+            if n < 0:
+                raise GraphError(f"vertex count must be >= 0, got {n}")
+            adj = [0] * n
+            for u, v in edges:
+                u = index(u)
+                v = index(v)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise GraphError(f"loop at vertex {u} is not allowed")
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        except TypeError as exc:
+            raise GraphError(f"vertex count and endpoints must be integers: {exc}") from None
+        self._set_rows(adj)
+
+    @classmethod
+    def _from_rows(cls, adj: list[int]) -> Graph:
+        """The graph with adjacency rows adj, taken as they stand: trusted
+        to be symmetric and loop-free, with no bit at or past len(adj). For
+        rows already valid (graph6 decode, enumeration); ``Graph(n, edges)``
+        is the validating constructor."""
+        g = cls.__new__(cls)
+        g._set_rows(adj)
+        return g
+
+    def _set_rows(self, adj: list[int]) -> None:
+        """Keep adj and derive edges from each row's higher bits, so they
+        come once each, in (u, v) order."""
+        edges = []
+        for u, row in enumerate(adj):
+            row >>= u + 1
+            v = u
+            while row:
+                step = (row & -row).bit_length()
+                v += step
+                edges.append((u, v))
+                row >>= step
+        self.n = len(adj)
         self.adj = tuple(adj)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self._edge_index: dict[tuple[int, int], int] | None = None
         self._tri_cache: tuple | None = None
         self._form: bytes | None = None
@@ -183,7 +212,7 @@ class Graph:
         """Each edge's index, built on first use: most graphs, such as
         enumerated class representatives, never look an edge up."""
         if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edges)}
+            self._edge_index = dict(zip(self.edges, range(len(self.edges))))
         return self._edge_index
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
@@ -227,11 +256,16 @@ class Graph:
         built on first use."""
         if self._tri_cache is None:
             etris = []
-            index = self._edge_indices()
+            adj = self.adj
+            at = self._edge_indices()
             for i, (u, v) in enumerate(self.edges):
                 # keep w > v so each triangle is reported once
-                for w in bits(self.adj[u] & self.adj[v] & -(2 << v)):
-                    etris.append((i, index[(u, w)], index[(v, w)]))
+                common = adj[u] & adj[v] & -(2 << v)
+                while common:
+                    low = common & -common
+                    w = low.bit_length() - 1
+                    etris.append((i, at[(u, w)], at[(v, w)]))
+                    common ^= low
             self._tri_cache = tuple(etris)
         return self._tri_cache
 
@@ -470,6 +504,9 @@ _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # the vertex-count forms, one per number of leading "~"s: the largest n
 # each holds, its "~"s and its digits, most significant first
 _HEADERS = ((62, 0, 1), (258047, 1, 3), (68719476735, 2, 6))
+# graph6 digits of the body decoded at a time: whole base64 quanta, and a
+# line of any graph on up to 222 vertices in one chunk
+_CHUNK_DIGITS = 1 << 12
 
 
 def _graph6_encode_n(n: int) -> str:
@@ -514,25 +551,33 @@ def from_graph6(line: str) -> Graph:
             f"expected {need} adjacency bytes for n={n}, got {len(text) - pos}",
             min(len(text), pos + need),
         )
-    # a leading 1 keeps the body's leading zero bits: bin() writes "0b1",
-    # then bit b of the body at bitstr[3 + b], all in one string
-    bitstr = bin(int.from_bytes(b"\x01" + _unpack(text[pos:]), "big"))
-    end = 3 + nbits
-    edges = []
-    # bit b is pair (u, v) with b = v(v-1)/2 + u; column v starts at bitstr[base]
+    # the body is walked _CHUNK_DIGITS digits at a time; a leading 1 keeps
+    # a chunk's leading zero bits: bin() writes "0b1", then the chunk's
+    # bits from bitstr[3]. Bit b of the body is pair (u, v) with b =
+    # v(v-1)/2 + u; column v starts at bitstr[base], where base moves back
+    # by a chunk's bits after each chunk, and bitstr[end] is the body's end
+    adj = [0] * n
     v = 1
     base = 3
-    b = bitstr.find("1", base, end)
-    while b >= 0:
-        while b >= base + v:
-            base += v
-            v += 1
-        edges.append((b - base, v))
-        b = bitstr.find("1", b + 1, end)
-    # trailing padding must be zero
-    if "1" in bitstr[end:]:
-        raise Graph6Error("nonzero padding bits", len(text) - 1)
-    return Graph(n, edges)
+    end = 3 + nbits
+    for start in range(pos, len(text), _CHUNK_DIGITS):
+        digits = text[start : start + _CHUNK_DIGITS]
+        bitstr = bin(int.from_bytes(b"\x01" + _unpack(digits), "big"))
+        b = bitstr.find("1", 3, end)
+        while b >= 0:
+            while b >= base + v:
+                base += v
+                v += 1
+            u = b - base
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            b = bitstr.find("1", b + 1, end)
+        # trailing padding must be zero; only the last chunk holds any
+        if "1" in bitstr[end:]:
+            raise Graph6Error("nonzero padding bits", len(text) - 1)
+        base -= 6 * len(digits)
+        end -= 6 * len(digits)
+    return Graph._from_rows(adj)
 
 
 # -- standard constructions -------------------------------------------------

@@ -46,7 +46,6 @@ from .graphs import (
     CANONICAL_MAX_N,
     Graph,
     GraphError,
-    bits,
     canonical_forms,
     complete,
     lower_twins,
@@ -97,10 +96,9 @@ def enumerate_graphs(n: int, *, triangle_free: bool = False) -> tuple[Graph, ...
         owner, batch = np.divmod(kept[start : start + CANONICAL_BATCH], 1 << n - 1)
         joined = base[owner] | (batch[:, None] >> np.arange(n - 1) & 1) << n - 1
         rows = np.concatenate([joined, batch[:, None]], axis=1)
-        for i, s, form in zip(owner.tolist(), batch.tolist(), canonical_forms(rows)):
+        for row, form in zip(rows.tolist(), canonical_forms(rows)):
             if form not in seen:
-                g = parents[i]
-                h = Graph(n, g.edges + tuple((u, n - 1) for u in bits(s)))
+                h = Graph._from_rows(row)
                 h._form = form  # what h.canonical_form() would compute
                 seen[form] = h
     return tuple(g for _, g in sorted(seen.items()))

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
-from typing import Iterator, NamedTuple
+from functools import cached_property, partial
+from itertools import combinations, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from . import search
 from .colorings import (
@@ -58,6 +58,35 @@ class NonEdgeOutcome(NamedTuple):
         return colors[:i] + (c,) + colors[i:]
 
 
+# NonEdgeOutcome from a tuple of its four fields, with no call of its __new__
+_new_outcome = partial(tuple.__new__, NonEdgeOutcome)
+
+
+class Records:
+    """Records of one shape held column by column, for a writer that
+    formats a column at a time: ``columns`` maps each key to its column,
+    one value per record, at least one column. A column holds only exact
+    ints, only strs, or only tuples of exact ints of one length, which
+    read as lists."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def as_list(self) -> list[dict]:
+        """The records one by one, each tuple as a list."""
+        keys = list(self.columns)
+        columns = [
+            list(map(list, column)) if column and type(column[0]) is tuple else column
+            for column in self.columns.values()
+        ]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
 @dataclass
 class SaturationReport:
     graph: Graph
@@ -86,8 +115,13 @@ class SaturationReport:
         G+uv built and certified on the first read."""
         return tuple((pair, cert) for pair, _, cert in self._certified())
 
-    def as_dict(self) -> dict:
+    def payload(self) -> dict:
+        """The report as JSON values, with ``non_edges_checked`` held
+        column by column as ``Records``; ``as_dict`` lists its records."""
         g = self.graph
+        pairs = statuses = nodes = ()
+        if self.non_edge_outcomes:
+            pairs, statuses, nodes, _ = zip(*self.non_edge_outcomes)
         return {
             "n": g.n,
             "k": self.k,
@@ -102,11 +136,15 @@ class SaturationReport:
                 {"non_edge": list(pair), "certificate": cert.as_dict(plus)}
                 for pair, plus, cert in self._certified()
             ],
-            "non_edges_checked": [
-                {"non_edge": list(o.pair), "status": o.status, "nodes": o.nodes}
-                for o in self.non_edge_outcomes
-            ],
+            "non_edges_checked": Records(
+                {"non_edge": pairs, "status": statuses, "nodes": nodes}
+            ),
         }
+
+    def as_dict(self) -> dict:
+        payload = self.payload()
+        payload["non_edges_checked"] = payload["non_edges_checked"].as_list()
+        return payload
 
 
 def is_rmin_saturated(
@@ -168,27 +206,35 @@ def is_rmin_saturated(
     if base.status == EXHAUSTED:
         what = "enumeration of G's bad colorings exhausted its budget"
         exhausted = str(budget.ran_out(what, start))
-    outcomes = []
-    for pair in pairs if base.certificate else ():
-        nodes, extension = 0, extensions.get(pair)
-        if extension is not None:
-            status = FOUND
-        elif base.status == EXHAUSTED:
-            status = EXHAUSTED
-        elif visits < EXTEND_CAP:  # every bad coloring was tried
-            status = NONE
-        else:
-            res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
-            status, nodes = res.status, res.stats.nodes
-            if status == FOUND:
-                colors = res.certificate.coloring.colors
-                i = bisect_left(g.edges, pair)  # uv's index in G+uv
-                extension = (colors[:i] + colors[i + 1 :], i, colors[i])
-            if status == EXHAUSTED and not exhausted:
-                what = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
-                exhausted = str(budget.ran_out(what, start))
-        outcomes.append(NonEdgeOutcome(pair, status, nodes, extension))
-    failed = sum(o.status == FOUND for o in outcomes)
+    outcomes = ()
+    failed = len(extensions)  # and each fallback search that finds one
+    if base.certificate and not extensions and base.status != EXHAUSTED and visits < EXTEND_CAP:
+        # the common case: every bad coloring was tried and none closed a
+        # non-edge, so each outcome is (pair, none, 0, None), made in one pass
+        outcomes = tuple(map(_new_outcome, zip(pairs, repeat(NONE), repeat(0), repeat(None))))
+    elif base.certificate:
+        outcomes = []
+        for pair in pairs:
+            nodes, extension = 0, extensions.get(pair)
+            if extension is not None:
+                status = FOUND
+            elif base.status == EXHAUSTED:
+                status = EXHAUSTED
+            elif visits < EXTEND_CAP:  # every bad coloring was tried
+                status = NONE
+            else:
+                res = search.find_bad_coloring(g.with_edge(*pair), k, budget)
+                status, nodes = res.status, res.stats.nodes
+                if status == FOUND:
+                    failed += 1
+                    colors = res.certificate.coloring.colors
+                    i = bisect_left(g.edges, pair)  # uv's index in G+uv
+                    extension = (colors[:i] + colors[i + 1 :], i, colors[i])
+                if status == EXHAUSTED and not exhausted:
+                    what = f"search on G+({pair[0]},{pair[1]}) exhausted its budget"
+                    exhausted = str(budget.ran_out(what, start))
+            outcomes.append(NonEdgeOutcome(pair, status, nodes, extension))
+        outcomes = tuple(outcomes)
     if failed:
         status = NOT_SATURATED
         reason = f"{failed} non-edge(s) still admit a bad coloring"
@@ -201,7 +247,7 @@ def is_rmin_saturated(
     else:
         status = SATURATED
         reason = "every non-edge addition destroys all bad colorings"
-    return SaturationReport(g, k, status, base.certificate, tuple(outcomes), reason)
+    return SaturationReport(g, k, status, base.certificate, outcomes, reason)
 
 
 def is_ramsey_minimal(

@@ -161,7 +161,8 @@ class _Engine:
         self.union_trail: list[tuple[int, int]] = []
         # static branch order: densest-in-triangles first; the sort is
         # stable, so index breaks ties
-        self.order = sorted(range(self.m), key=lambda e: -len(self.tri_pairs[e]))
+        keys = [-len(pairs) for pairs in self.tri_pairs]
+        self.order = sorted(range(self.m), key=keys.__getitem__)
         self.stats = SearchStats()
         self.best: BadColoringCertificate | None = None
         self.best_red = -1

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ramsat import cli, oracle, verify
+from ramsat import cli, oracle, saturation, verify
 from ramsat.cli import main
 from ramsat.colorings import TwoColoring, is_bad_coloring
 from ramsat.constructions import KINDS, ConstructionSpec, build
@@ -229,6 +229,28 @@ SATURATED_CASES = {
             "json": (1, "bdb6ab5948131fa2734d1d8e01b1c9250b29cc2534c9bbbf73262bbc20e4eb26"),
         },
     ),
+    # saturated: the enumeration closes no non-edge, and every outcome is
+    # none (taken at the parent of the column-fed report writer)
+    "geven18_saturated": (
+        lambda: build(ConstructionSpec.geven(18)).graph,
+        4,
+        256,
+        [],
+        {
+            "text": (0, "f8b5457914e70fa9238bf1535529498a8a03d5ed1b61253f8203e72b8ac24edd"),
+            "json": (0, "586fafa5b328b34cd8343ec60513135f0c14dbf8df4aea7e7ee07d7b37f89645"),
+        },
+    ),
+    "godd19_saturated": (
+        lambda: build(ConstructionSpec.godd(19)).graph,
+        4,
+        256,
+        [],
+        {
+            "text": (0, "f8b5457914e70fa9238bf1535529498a8a03d5ed1b61253f8203e72b8ac24edd"),
+            "json": (0, "9fac0ad6277808420f3e9f94fbe0eab7adab5a400ebea3f77d1427efac603bfc"),
+        },
+    ),
     # the per-non-edge searches run out of the shared budget
     "geven18": (
         lambda: build(ConstructionSpec.geven(18)).graph,
@@ -253,6 +275,40 @@ def test_check_saturated_output_is_pinned(capsys, monkeypatch, tmp_path, case, f
     argv = ["check", "saturated", str(p), "--k", str(k), "--format", fmt] + extra
     code, out, err = run(capsys, argv)
     assert (code, sha256(out), err) == (*want[fmt], "")
+
+
+def test_geven18_saturated_json_size(capsys, geven18_file):
+    code, out, _ = run(capsys, ["check", "saturated", geven18_file, "--k", "4", "--format", "json"])
+    assert (code, len(out.encode())) == (0, 14141)
+
+
+# every witness of the benchmark's witness workload, as (kind, params, k)
+WITNESSES = (
+    [("geven", (n,), 4) for n in range(18, 41, 2)]
+    + [("godd", (n,), 4) for n in range(19, 42, 2)]
+    + [("general", (5, n), 5) for n in range(20, 41)]
+    + [("general", (6, 30), 6), ("general", (7, 60), 7)]
+)
+
+
+def test_check_saturated_json_is_the_report_as_dict(capsys, monkeypatch, tmp_path):
+    """The column-fed writer prints what the stdlib-equal writer prints for
+    the report's dicts, on every witness and on the failing cases."""
+    cases = [
+        (build(getattr(ConstructionSpec, kind)(*params)).graph, k, 256)
+        for kind, params, k in WITNESSES
+    ]
+    cases += [(star(10), 4, 256), (star(30), 3, 256)]
+    cases.append((SATURATED_CASES["fallback"][0](), 3, 1))
+    assert len(cases) == 50
+    p = tmp_path / "g.g6"
+    for g, k, cap in cases:
+        monkeypatch.setattr("ramsat.saturation.EXTEND_CAP", cap)
+        p.write_text(g.to_graph6() + "\n")
+        code, out, _ = run(capsys, ["check", "saturated", str(p), "--k", str(k), "--format", "json"])
+        rep = saturation.is_rmin_saturated(g, k)
+        assert out == cli._json(rep.as_dict())
+        assert code == (0 if rep.verdict else 1)
 
 
 def test_check_count(capsys, geven18_file):
@@ -700,15 +756,15 @@ def _random_json(rng, depth):
 
 def test_json_writer_matches_stdlib_on_random_objects(monkeypatch):
     templated = 0
-    record_template = cli._record_template
+    record_fields = cli._record_fields
 
-    def counted(items, pad, leaves, nested):
+    def counted(items, nested):
         nonlocal templated
-        template = record_template(items, pad, leaves, nested)
-        templated += nested and template is not None
-        return template
+        shape = record_fields(items, nested)
+        templated += nested and shape is not None
+        return shape
 
-    monkeypatch.setattr(cli, "_record_template", counted)
+    monkeypatch.setattr(cli, "_record_fields", counted)
     rng = random.Random(20)
     for _ in range(2500):
         obj = _random_json(rng, 3)

@@ -701,6 +701,58 @@ def test_graph6_decode_memory_is_linear_in_the_line():
     assert peak < 20 * len(text), peak / len(text)
 
 
+def test_graph6_decode_peak_is_the_graph_it_builds():
+    # the body is walked in chunks of _CHUNK_DIGITS digits, so the peak is
+    # the graph's own rows and edges: 2.8 bytes a character on this line,
+    # against 9.9 when the body was one bit string
+    text = path(1000).to_graph6()
+    tracemalloc.start()
+    try:
+        g = from_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == path(1000)
+    assert peak < 4 * len(text), peak / len(text)
+
+
+def _same_graph(g, h):
+    return (g == h, hash(g) == hash(h), g.adj, g.edges) == (True, True, h.adj, h.edges)
+
+
+def test_graphs_from_rows_equal_the_validated_ones():
+    """graph6 decode and enumeration build through the trusted rows
+    constructor; their graphs equal those Graph(n, edges) builds."""
+    decoded = 0
+    for line in _seeded_graph6_lines(random.Random(6)):
+        try:
+            g = from_graph6(line)
+        except Graph6Error:
+            continue
+        decoded += 1
+        assert _same_graph(g, Graph(g.n, list(g.edges)[::-1])), line
+        assert all(type(x) is int for e in g.edges for x in e)
+    assert decoded > 400
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert _same_graph(g, Graph(n, g.edges))
+
+
+def test_numpy_endpoints_make_the_int_graph():
+    # 1 << np.int64(65) overflows, so rows must be built from ints
+    for n, edges in [(70, [(0, 65), (3, 69), (1, 2)]), (10, [(0, 9), (2, 5)])]:
+        want = Graph(n, edges)
+        for kind in (np.int64, np.uint8, np.intp):
+            g = Graph(kind(n), [(kind(u), kind(v)) for u, v in edges])
+            assert _same_graph(g, want)
+            assert all(type(x) is int for e in g.edges for x in e)
+            assert from_graph6(g.to_graph6()) == want
+    assert Graph(70, [(np.int64(0), np.int64(65))]).has_edge(0, 65)
+    for bad in [(3, [(0.0, 1.0)]), (3, [(0, 1.5)]), (3.0, [(0, 1)]), (3, [("0", 1)])]:
+        with pytest.raises(GraphError, match="must be integers"):
+            Graph(*bad)
+
+
 def test_graph6_large_n_encoding():
     g = empty(64)
     assert from_graph6(g.to_graph6()) == g

@@ -15,6 +15,7 @@ from ramsat.colorings import (
     forced_blue_edges,
     is_bad_coloring,
 )
+from ramsat.constructions import ConstructionSpec, build
 from ramsat.graphs import (
     Graph,
     GraphError,
@@ -603,3 +604,31 @@ def test_undo_to_root_restores_the_union_find():
         assert engine.size == initial[1]
         assert engine.members == initial[2]
         assert engine.color == [UNASSIGNED] * g.m
+
+
+@pytest.mark.parametrize(
+    "spec, triangles, triples_sha, order_sha",
+    [
+        (
+            ConstructionSpec.geven(40),
+            52,
+            "b5a7c6a014413f212e4f27db481587b3a08eb737ef0178550e6ff6711bf640fd",
+            "4c286656037bf8cab5726a52f5c7c7bdfa74ecfc0a6e6859b072cde547ee8182",
+        ),
+        (
+            ConstructionSpec.general(7, 60),
+            426,
+            "4fcc0c0e3ab7c31c67d7500762ebd07022c58ee7f4cdfee95ebf84887a3e1767",
+            "6620ac8a67c536380f29958a7d79432262802f94f6ccbf26589c6a7c06a0ada2",
+        ),
+    ],
+)
+def test_engine_tables_are_pinned(spec, triangles, triples_sha, order_sha):
+    # the triangle table and the branch order fix every search tree; the
+    # digests are of their reprs, taken before either was rewritten
+    g = build(spec).graph
+    triples = g.triangle_edge_triples()
+    order = _Engine(g, 4, None).order
+    assert len(triples) == triangles
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == triples_sha
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == order_sha
