@@ -13,7 +13,6 @@ never at module level, so checking a coloring does not load it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -122,8 +121,7 @@ def is_bad_coloring(g: Graph, k: int, coloring: TwoColoring) -> bool:
     return _bad_coloring_sizes(g, k, coloring) is not None
 
 
-@dataclass(frozen=True)
-class BadColoringCertificate:
+class BadColoringCertificate(NamedTuple):
     """A coloring plus the evidence that it is bad; re-verifiable from scratch."""
 
     coloring: TwoColoring

@@ -10,7 +10,6 @@ with the join lists by 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
@@ -40,8 +39,7 @@ def _half_up(k: int) -> int:
     return (k + 1) // 2  # ceil(k/2)
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedTuple):
     """Parameterized identifier of a catalog construction."""
 
     kind: str
@@ -127,8 +125,7 @@ class ConstructionSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
-class BuiltConstruction:
+class BuiltConstruction(NamedTuple):
     """A constructed graph with role labels and the intended coloring."""
 
     spec: ConstructionSpec

@@ -37,8 +37,7 @@ module level, so importing the package does not load it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .colorings import edge_ids, subtree_picks, triangle_picks
 from .graphs import (
@@ -283,8 +282,7 @@ def brute_force_bad_colorings(g: Graph, k: int) -> np.ndarray:
     return masks
 
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(NamedTuple):
     """Minimum edge count over all saturated graphs on n vertices."""
 
     n: int

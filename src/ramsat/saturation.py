@@ -11,7 +11,6 @@ carry edges.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, repeat
 from typing import Iterator, NamedTuple, Sequence
@@ -21,7 +20,7 @@ from .colorings import (
     BLUE, RED, BadColoringCertificate, TwoColoring, make_certificate, red_neighbours
 )
 from .graphs import Graph, GraphError, bits, component_masks, is_2_connected, is_kt_saturated
-from .search import EXHAUSTED, FOUND, NONE, SearchBudget
+from .search import EXHAUSTED, FOUND, NONE, SearchBudget, _Record
 
 SATURATED = "saturated"
 NOT_SATURATED = "not-saturated"
@@ -87,14 +86,19 @@ class Records:
         return [dict(zip(keys, row)) for row in zip(*columns)]
 
 
-@dataclass
-class SaturationReport:
+class SaturationReport(_Record):
     graph: Graph
     k: int
     status: str  # saturated | not-saturated | inconclusive
     base_certificate: BadColoringCertificate | None
     non_edge_outcomes: tuple[NonEdgeOutcome, ...]
-    reason: str = ""
+    reason: str
+    _fields = ("graph", "k", "status", "base_certificate", "non_edge_outcomes", "reason")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds ``failures``
+
+    def __init__(self, graph, k, status, base_certificate, non_edge_outcomes, reason=""):
+        self.graph, self.k, self.status, self.reason = graph, k, status, reason
+        self.base_certificate, self.non_edge_outcomes = base_certificate, non_edge_outcomes
 
     @property
     def verdict(self) -> bool:
@@ -279,8 +283,7 @@ def is_ramsey_minimal(
 # -- structure classifiers ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(NamedTuple):
     """Classification of a triangle-saturated graph by minimum degree."""
 
     tag: str  # star | j | other
@@ -370,8 +373,7 @@ def k3_saturated_edge_bound(g: Graph) -> int:
 # -- certificate structure checks ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateStructureReport:
+class CertificateStructureReport(NamedTuple):
     """Pass/fail per structural clause; None marks a clause not evaluated."""
 
     small_blue_components: int

@@ -37,7 +37,6 @@ edge's two leaves without assigning them (k >= 3, see ``_Engine._dfs``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .colorings import (
     BLUE,
@@ -89,8 +88,25 @@ class SearchBudget:
         return InconclusiveError(f"{what} after {start - self.nodes_left} nodes")
 
 
-@dataclass
-class SearchStats:
+class _Record:
+    """``repr`` and ``==`` over ``_fields``, as a dataclass has them, for a
+    record a search mutates or that must not be a tuple. A dataclass would
+    load ``dataclasses``, and with it ``inspect``, into every process."""
+
+    __slots__ = ()  # __eq__ with no __hash__: unhashable, as the records are mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self._fields
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+
+class SearchStats(_Record):
     """Work done by one search.
 
     ``nodes``: branching edges colored by choice; this is what the search
@@ -105,28 +121,39 @@ class SearchStats:
     ``wall_time``: seconds from start to verdict, presolve included.
     """
 
-    nodes: int = 0
-    backtracks: int = 0
-    propagations: int = 0
-    wall_time: float = 0.0
+    nodes: int
+    backtracks: int
+    propagations: int
+    wall_time: float
+    __slots__ = _fields = ("nodes", "backtracks", "propagations", "wall_time")
+
+    def __init__(self, nodes=0, backtracks=0, propagations=0, wall_time=0.0):
+        self.nodes, self.backtracks, self.propagations = nodes, backtracks, propagations
+        self.wall_time = wall_time
 
 
-@dataclass
-class FindResult:
+class FindResult(_Record):
     status: str  # found | none | budget-exhausted
     certificate: BadColoringCertificate | None
     stats: SearchStats
+    __slots__ = _fields = ("status", "certificate", "stats")
+
+    def __init__(self, status, certificate, stats):
+        self.status, self.certificate, self.stats = status, certificate, stats
 
     @property
     def found(self) -> bool:
         return self.status == FOUND
 
 
-@dataclass
-class CountResult:
+class CountResult(_Record):
     status: str  # ok | budget-exhausted
     count: int
     stats: SearchStats
+    __slots__ = _fields = ("status", "count", "stats")
+
+    def __init__(self, status, count, stats):
+        self.status, self.count, self.stats = status, count, stats
 
 
 class _Budget(Exception):

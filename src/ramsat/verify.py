@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import oracle, saturation, search
 from .colorings import forced_blue_edges
@@ -39,8 +39,7 @@ _SPLIT_TABLE = {
 }
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool

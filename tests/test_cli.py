@@ -1007,15 +1007,16 @@ def test_every_subcommand_stops_under_a_jumping_clock(
 
 
 # run in a fresh interpreter: each step is an argv for cli.main or
-# "canonical_form" (of the Petersen graph); prints whether numpy is loaded
-# at the start, then per step its exit code, stdout, and whether numpy is
-# loaded after it
+# "canonical_form" (of the Petersen graph); prints which of the watched
+# modules are loaded at the start, then per step its exit code, stdout,
+# and which of them are loaded after it
 _FRESH_STEPS = r"""
 import contextlib, io, json, sys
 import ramsat, ramsat.cli, ramsat.verify
 from ramsat.graphs import petersen
 
-loaded = "numpy" in sys.modules
+watched = json.loads(sys.argv[2])
+loaded = [name for name in watched if name in sys.modules]
 results = []
 for step in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -1025,17 +1026,17 @@ for step in json.loads(sys.argv[1]):
             print(petersen().canonical_form().hex())
         else:
             code = ramsat.cli.main(step)
-    results.append([code, out.getvalue(), "numpy" in sys.modules])
+    results.append([code, out.getvalue(), [name for name in watched if name in sys.modules]])
 print(json.dumps([loaded, results]))
 """
 
 
-def _fresh_steps(steps):
+def _fresh_steps(steps, watched=("numpy",)):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_STEPS, json.dumps(steps)],
+        [sys.executable, "-c", _FRESH_STEPS, json.dumps(steps), json.dumps(watched)],
         capture_output=True,
         env=env,
         text=True,
@@ -1080,3 +1081,13 @@ def test_numpy_loads_only_for_the_commands_that_compute_with_it(capsys, geven18_
         else:
             want = list(run(capsys, step)[:2])
         assert [code, out] == want, step
+
+
+def test_no_command_path_loads_dataclasses_or_inspect(capsys, geven18_file):
+    """Importing the package, the CLI and verify, then running check arrow,
+    leaves dataclasses and inspect unloaded: the records are NamedTuples
+    and plain classes, and dataclasses imports inspect."""
+    argv = ["check", "arrow", geven18_file, "--k", "4"]
+    loaded, [(code, out, after)] = _fresh_steps([argv], ("dataclasses", "inspect"))
+    assert loaded == [] and after == []
+    assert [code, out] == list(run(capsys, argv)[:2])

@@ -570,3 +570,23 @@ def test_no_module_imports_numpy_at_import_time():
     assert {"graphs", "colorings", "oracle", "verify", "cli"} <= {p.stem for p in paths}
     for path in paths:
         assert _import_time_numpy(ast.parse(path.read_text())) == [], path.name
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples or plain __slots__ classes: importing
+    # dataclasses also loads inspect, in every CLI process
+    src = pathlib.Path(oracle.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert {"colorings", "constructions", "oracle", "saturation", "search", "verify"} <= {
+        p.stem for p in paths
+    }
+    for path in paths:
+        found = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses"
+        ]
+        assert found == [], path.name

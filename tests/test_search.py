@@ -632,3 +632,122 @@ def test_engine_tables_are_pinned(spec, triangles, triples_sha, order_sha):
     assert len(triples) == triangles
     assert hashlib.sha256(repr(triples).encode()).hexdigest() == triples_sha
     assert hashlib.sha256(repr(order).encode()).hexdigest() == order_sha
+
+
+def _records():
+    """Each record type with keyword arguments for its required fields and
+    the defaults of the rest, both in field order."""
+    from ramsat.colorings import BadColoringCertificate
+    from ramsat.constructions import BuiltConstruction
+    from ramsat.oracle import SatResult
+    from ramsat.saturation import CertificateStructureReport, SaturationReport, StructureClass
+    from ramsat.search import CountResult, FindResult, SearchStats
+    from ramsat.verify import CriterionResult
+
+    g = star(4)
+    coloring = TwoColoring((BLUE, BLUE, BLUE))
+    cert = BadColoringCertificate(coloring, (4,))
+    stats = SearchStats(3, 1, 7, 0.5)
+    return [
+        (BadColoringCertificate, dict(coloring=coloring, blue_component_sizes=(4,)), {}),
+        (ConstructionSpec, dict(kind="petersen"), dict(params=())),
+        (
+            BuiltConstruction,
+            dict(spec=ConstructionSpec.star(4), graph=g, roles={"center": (0,)}),
+            dict(reference_coloring=None, reference_k=None, notes=()),
+        ),
+        (
+            SatResult,
+            dict(n=5, k=3, min_edges=4, extremal_graph6=("DQo",), graphs_scanned=34),
+            {},
+        ),
+        (
+            StructureClass,
+            dict(tag="other"),
+            dict(y=None, z=None, set_a=(), set_b=(), set_c=()),
+        ),
+        (
+            CertificateStructureReport,
+            dict(small_blue_components=1, small_count_ok=True),
+            dict(red_complete_ok=None, max_red_degree_ok=None, red_two_connected_ok=None),
+        ),
+        (
+            CriterionResult,
+            dict(number=1, title="edge counts", passed=True, details="PASS"),
+            dict(inconclusive=False),
+        ),
+        (SearchStats, {}, dict(nodes=0, backtracks=0, propagations=0, wall_time=0.0)),
+        (FindResult, dict(status=FOUND, certificate=cert, stats=stats), {}),
+        (CountResult, dict(status=OK, count=2, stats=stats), {}),
+        (
+            SaturationReport,
+            dict(graph=g, k=4, status="saturated", base_certificate=cert, non_edge_outcomes=()),
+            dict(reason=""),
+        ),
+    ]
+
+
+_FROZEN = {
+    "BadColoringCertificate",
+    "ConstructionSpec",
+    "BuiltConstruction",
+    "SatResult",
+    "StructureClass",
+    "CertificateStructureReport",
+}
+_NOT_TUPLES = {"SearchStats", "FindResult", "CountResult", "SaturationReport"}
+
+
+_RECORDS = _records()
+
+
+@pytest.mark.parametrize(
+    "cls, required, defaults", _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS]
+)
+def test_records_keep_their_dataclass_behaviour(cls, required, defaults):
+    """Keyword construction with defaults, field order, the dataclass repr
+    format and type hints that resolve with no numpy name in scope."""
+    import typing
+
+    rec = cls(**required)
+    fields = {**required, **defaults}
+    assert {name: getattr(rec, name) for name in fields} == fields
+    assert rec == cls(*fields.values())
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(rec) == f"{cls.__name__}({shown})"
+    assert list(typing.get_type_hints(cls)) == list(fields)
+    name = next(iter(fields))
+    if cls.__name__ in _FROZEN:
+        # FrozenInstanceError subclassed AttributeError
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    if cls.__name__ in _NOT_TUPLES:
+        assert not isinstance(rec, tuple)
+        assert not hasattr(rec, "index")
+        assert hasattr(rec, "count") == (cls.__name__ == "CountResult")
+        with pytest.raises(TypeError):
+            iter(rec)
+        with pytest.raises(TypeError):
+            hash(rec)
+
+
+def test_construction_specs_hash_and_compare_by_value():
+    geven = ConstructionSpec("geven", (18,))
+    assert geven == ConstructionSpec.geven(18) and hash(geven) == hash(ConstructionSpec.geven(18))
+    assert geven != ConstructionSpec.geven(20) and geven != ConstructionSpec.godd(18)
+    assert {ConstructionSpec.geven(18): 1}[geven] == 1
+
+
+def test_mutable_records_mutate_in_place():
+    from ramsat.saturation import is_rmin_saturated
+    from ramsat.search import SearchStats
+
+    stats = SearchStats()
+    stats.nodes += 2
+    stats.wall_time = 1.5
+    assert stats == SearchStats(nodes=2, wall_time=1.5) and stats != SearchStats(nodes=2)
+    with pytest.raises(AttributeError):
+        stats.depth = 1  # no fields beyond the record's own
+    # the report keeps a __dict__ beside its slots for the cached failures
+    report = is_rmin_saturated(star(5), 4)
+    assert report.failures and report.failures is report.failures
